@@ -22,12 +22,14 @@ sphere sizes and stored keys are identical for every thread count.
 
 from __future__ import annotations
 
+import resource
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from . import gf2
+from . import gf2, isometry
 from .bounds import gl_order
 from .errors import (
     ConsistencyError,
@@ -98,6 +100,11 @@ class ExplorationResult:
         return sum(self.sphere_sizes)
 
 
+def _peak_rss_mb() -> float:
+    # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     if table.size == 0:
         return np.zeros(values.shape, dtype=bool)
@@ -106,20 +113,32 @@ def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[idx] == values
 
 
-def _transvection_shifts(n: int) -> list[tuple[int, int]]:
-    # (target-row shift, source-row shift) pairs in (i, j) lex order
-    return [((t.i - 1) * n, (t.j - 1) * n) for t in gf2.all_transvections(n)]
+@lru_cache(maxsize=None)
+def _transvection_shifts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(target-row shift, source-row shift) columns, one row per
+    generator in (i, j) lex order; read-only, since they are shared."""
+    shifts = np.array([((t.i - 1) * n, (t.j - 1) * n)
+                       for t in gf2.all_transvections(n)],
+                      dtype=np.uint64).reshape(-1, 2)
+    shifts.flags.writeable = False
+    return shifts[:, 0:1], shifts[:, 1:2]
 
 
-def _successors(keys: np.ndarray, n: int) -> np.ndarray:
+def _successors(keys: np.ndarray, n: int, swap: bool = False) -> np.ndarray:
     """All T*g for g in keys, laid out generator-major: the slice
-    [t*B:(t+1)*B] holds generator t applied to every key."""
-    mask = np.uint64((1 << n) - 1)
-    shifts = _transvection_shifts(n)
-    out = np.empty((len(shifts), keys.size), dtype=np.uint64)
-    for t, (ishift, jshift) in enumerate(shifts):
-        rows = (keys >> np.uint64(jshift)) & mask
-        out[t] = keys ^ (rows << np.uint64(ishift))
+    [t*B:(t+1)*B] holds generator t applied to every key.
+
+    ``swap=True`` applies T[j,i] in the slot of T[i,j].  Since
+    TI(T[i,j]*g) = T[j,i]*TI(g), swapped successors of TI(keys) are the
+    transpose-inverses of the successors of keys, slot for slot.
+    """
+    ishift, jshift = _transvection_shifts(n)
+    if swap:
+        ishift, jshift = jshift, ishift
+    out = keys[None, :] >> jshift
+    out &= np.uint64((1 << n) - 1)
+    out <<= ishift
+    out ^= keys[None, :]
     return out.reshape(-1)
 
 
@@ -172,7 +191,10 @@ def _bfs_loop(n, spec, limits, executor, log, store_keys) -> ExplorationResult:
         for start in range(0, curr.size, block_rows):
             block = curr[start:start + block_rows]
             succ = _successors(block, n)
-            canon, sizes = canonicalize_batch(succ, n, spec, executor)
+            # one inversion per frontier key instead of one per successor
+            ti = (_successors(isometry.transpose_inverse_keys(block, n), n, swap=True)
+                  if spec.uses_ti else None)
+            canon, sizes = canonicalize_batch(succ, n, spec, executor, ti=ti)
             uniq, first = np.unique(canon, return_index=True)
             usizes = sizes[first]
             keep = ~_in_sorted(uniq, prev)
@@ -202,7 +224,7 @@ def _bfs_loop(n, spec, limits, executor, log, store_keys) -> ExplorationResult:
             if log is not None:
                 print(f"level {depth}: orbits={orbit_counts[-1]} "
                       f"elements={sphere_sizes[-1]} stored={stored} "
-                      f"mem~{stored * 17 / 1e6:.1f}MB", file=log, flush=True)
+                      f"peak_rss={_peak_rss_mb():.1f}MB", file=log, flush=True)
             prev, curr = curr, nxt_keys
         if truncated:
             last_level_complete = False
@@ -257,10 +279,14 @@ def distance_of(res: ExplorationResult, m: BitMatrix) -> int:
 def _neighbor_distances(res: ExplorationResult, m: BitMatrix):
     """Distances of T*m for every generator T in lex order; None where the
     neighbor falls outside the stored ball."""
-    trans = gf2.all_transvections(res.n)
-    succ = np.array([gf2.apply_transvection(t, m).bits for t in trans],
-                    dtype=np.uint64)
-    canon, _ = canonicalize_batch(succ, res.n, res.spec)
+    n = res.n
+    succ = _successors(np.array([m.bits], dtype=np.uint64), n)
+    # the numpy inverse costs more than the scalar one for a single key
+    ti = (_successors(np.array([gf2.transpose_inverse_bits(m.bits, n)],
+                               dtype=np.uint64), n, swap=True)
+          if res.spec.uses_ti else None)
+    canon, _ = canonicalize_batch(succ, n, res.spec, ti=ti)
+    trans = gf2.all_transvections(n)
     return trans, [res.distance_of_key(int(k)) for k in canon]
 
 

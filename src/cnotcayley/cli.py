@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import bounds, essential, gf2, permcheck, store
-from .bfs import SearchLimits, bidirectional_distance, distance_of, isometry_bfs, synthesize
+from .bfs import SearchLimits, bidirectional_distance, isometry_bfs, synthesize
 from .errors import (
     CnotCayleyError,
     ConsistencyError,
@@ -142,9 +142,8 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    res = store.load(args.db)
     m = gf2.parse_matrix(args.matrix)
-    d = distance_of(res, m)
+    d = store.lookup(args.db, m)
     _emit(args, f"distance\n{d}\n", {"distance": d})
     return EXIT_OK
 

@@ -19,6 +19,15 @@ enumeration used to cross-check the vectorised path in CI.
 
 Orbit sizes come for free from the same enumeration pass via the
 orbit-stabilizer identity |orbit| * |stabilizer| = |acting group|.
+
+Under ``sym-ti`` every key also needs its transpose-inverse, a GF(2)
+matrix inversion.  ``transpose_inverse_keys`` does it as one vectorised
+Gauss-Jordan over the whole batch.  The BFS avoids even that for
+successors: TI is a graph automorphism with TI(T[i,j]*g) =
+T[j,i]*TI(g), so it inverts each frontier key once and derives the TI
+of all n(n-1) successors with swapped row shifts, passing them in
+through ``canonicalize_batch(..., ti=...)``.  Single-key callers use
+the scalar ``gf2`` inverse, which avoids numpy's fixed cost per call.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from itertools import permutations
 import numpy as np
 
 from . import gf2
-from .errors import ConsistencyError
+from .errors import ConsistencyError, SingularError
 from .gf2 import BitMatrix, Permutation
 
 _U1 = np.uint64(1)
@@ -109,10 +118,35 @@ def _tables(n: int) -> _PermTables:
 
 
 def transpose_inverse_keys(keys: np.ndarray, n: int) -> np.ndarray:
-    out = np.empty_like(keys)
-    for idx, k in enumerate(keys):
-        out[idx] = gf2.transpose_inverse_bits(int(k), n)
-    return out
+    """Transpose-inverse of every packed key, vectorised over the batch.
+
+    The batch is held as its n augmented rows [row j of M^T | row j of
+    I], an (n, B) uint64 array, and reduced by Gauss-Jordan with one
+    numpy pass per row operation.  Raises ``SingularError`` if any key
+    is singular.  Numpy's fixed cost per call makes a single key cheaper
+    through ``gf2.transpose_inverse_bits``.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    if keys.size == 0:
+        return keys.copy()
+    nb = np.uint64(n)
+    idx = np.arange(n, dtype=np.uint64)
+    # entry (i, j) of every key at bits[i, j]
+    bits = ((keys[None, :] >> np.arange(n * n, dtype=np.uint64)[:, None])
+            & _U1).reshape(n, n, keys.size)
+    aug = np.bitwise_or.reduce(bits << idx[:, None, None], axis=0)
+    aug |= (_U1 << (idx + nb))[:, None]
+    for c in range(n):
+        cb = np.uint64(c)
+        # bring a pivot into row c by adding the first row below that has one
+        for k in range(c + 1, n):
+            aug[c] ^= (((aug[k] & ~aug[c]) >> cb) & _U1) * aug[k]
+        if not np.all((aug[c] >> cb) & _U1):
+            raise SingularError("matrix is singular over F2")
+        hit = (aug >> cb) & _U1
+        hit[c] = 0
+        aug ^= hit * aug[c]
+    return np.bitwise_or.reduce((aug >> nb) << (idx * nb)[:, None], axis=0)
 
 
 def _unpack(keys: np.ndarray, t: _PermTables) -> np.ndarray:
@@ -147,8 +181,12 @@ def _lex_merge(hi1, lo1, hi2, lo2):
 
 
 def _canonicalize_chunk(keys: np.ndarray, n: int, spec: IsometrySpec,
-                        t: _PermTables) -> tuple[np.ndarray, np.ndarray]:
-    ti = transpose_inverse_keys(keys, n) if spec.uses_ti else None
+                        t: _PermTables, ti: np.ndarray | None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    if not spec.uses_ti:
+        ti = None
+    elif ti is None:
+        ti = transpose_inverse_keys(keys, n)
     if t.wf is not None:
         best, stab = _min_stab_small(keys, keys, t)
         if ti is not None:
@@ -174,24 +212,32 @@ def _canonicalize_chunk(keys: np.ndarray, n: int, spec: IsometrySpec,
 
 
 def canonicalize_batch(keys: np.ndarray, n: int, spec: IsometrySpec,
-                       executor=None) -> tuple[np.ndarray, np.ndarray]:
+                       executor=None, ti: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical keys and exact orbit sizes for an array of packed values.
 
     Pure function of the inputs; chunked internally to bound memory.  If
     an executor is given, chunks run on it concurrently (results are
     reassembled in input order, so the output never depends on
-    scheduling).
+    scheduling).  Under a TI spec, ``ti`` may carry the transpose-inverse
+    of every key, aligned with ``keys``, for callers that already have
+    it; otherwise it is computed here.  It is ignored under ``sym``.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     if n == 0 or keys.size == 0:
         return keys.copy(), np.ones(keys.size, dtype=np.uint64)
+    if ti is not None:
+        ti = np.ascontiguousarray(ti, dtype=np.uint64)
+        if ti.shape != keys.shape:
+            raise ValueError(f"ti has shape {ti.shape}, keys {keys.shape}")
     t = _tables(n)
-    spans = [(s, min(s + t.chunk, keys.size)) for s in range(0, keys.size, t.chunk)]
-    if executor is None or len(spans) == 1:
-        parts = [_canonicalize_chunk(keys[a:b], n, spec, t) for a, b in spans]
+    chunks = [(keys[s:s + t.chunk], None if ti is None else ti[s:s + t.chunk])
+              for s in range(0, keys.size, t.chunk)]
+    if executor is None or len(chunks) == 1:
+        parts = [_canonicalize_chunk(k, n, spec, t, kti) for k, kti in chunks]
     else:
-        futs = [executor.submit(_canonicalize_chunk, keys[a:b], n, spec, t)
-                for a, b in spans]
+        futs = [executor.submit(_canonicalize_chunk, k, n, spec, t, kti)
+                for k, kti in chunks]
         parts = [f.result() for f in futs]
     canon = np.concatenate([p[0] for p in parts])
     sizes = np.concatenate([p[1] for p in parts])
@@ -207,7 +253,10 @@ def canonicalize(m: BitMatrix, spec: IsometrySpec = IsometrySpec.SYM) -> OrbitIn
     """Orbit key (minimum packed image) and orbit size, in one pass."""
     if m.n == 0:
         return OrbitInfo(m, 1)
-    canon, sizes = canonicalize_batch(np.array([m.bits], dtype=np.uint64), m.n, spec)
+    ti = (np.array([gf2.transpose_inverse_bits(m.bits, m.n)], dtype=np.uint64)
+          if spec.uses_ti else None)
+    canon, sizes = canonicalize_batch(np.array([m.bits], dtype=np.uint64), m.n,
+                                      spec, ti=ti)
     return OrbitInfo(BitMatrix(m.n, int(canon[0])), int(sizes[0]))
 
 

@@ -24,6 +24,7 @@ exact integers of unbounded size.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -125,24 +126,31 @@ def lookup(source, m: BitMatrix) -> int:
     """Distance of a matrix from a loaded result or a database path.
 
     Path lookups binary-search the entry block in place, reading one
-    9-byte record per probe, so no full load happens.  The matrix is
+    9-byte record per probe, so no full load happens.  The file length
+    must equal header + sphere table + 9 bytes per entry.  The matrix is
     canonicalized under the recorded isometry spec first.
     """
     if isinstance(source, ExplorationResult):
         from .bfs import distance_of
         return distance_of(source, m)
     with open(source, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         head = fh.read(_HEADER.size)
         n, spec, _, _, _, levels, entry_count = _parse_header(head)
         if m.n != n:
             raise DatabaseError(f"matrix order {m.n} vs database order {n}")
-        key = canonicalize(m, spec).key.bits
         # skip the variable-length sphere table
         off = _HEADER.size
         for _ in range(levels):
+            if off + _LEVEL_HEAD.size > size:
+                raise DatabaseError("truncated sphere table")
             fh.seek(off)
             _, dlen = _LEVEL_HEAD.unpack(fh.read(_LEVEL_HEAD.size))
             off += _LEVEL_HEAD.size + dlen
+        if size - off != entry_count * _ENTRY_DTYPE.itemsize:
+            raise DatabaseError(
+                f"entry block is {size - off} bytes, expected {entry_count} entries")
+        key = canonicalize(m, spec).key.bits
         lo, hi = 0, entry_count
         while lo < hi:
             mid = (lo + hi) // 2
@@ -155,7 +163,8 @@ def lookup(source, m: BitMatrix) -> int:
                 lo = mid + 1
             else:
                 hi = mid
-    raise HorizonError("element beyond the explored horizon")
+    raise HorizonError(
+        f"element beyond the explored horizon (depth {levels - 1})")
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,27 @@ def test_dist_json(capsys, g3_db):
     assert json.loads(out) == {"distance": 2}
 
 
+def test_dist_seeks_without_loading(capsys, g3_db, monkeypatch):
+    from cnotcayley import store
+
+    def no_load(path):
+        raise AssertionError("dist must not load the whole database")
+
+    monkeypatch.setattr(store, "load", no_load)
+    code, out, _ = invoke(capsys, "dist", "--db", g3_db, "--matrix", "111,010,011")
+    assert code == 0
+    assert out == "distance\n2\n"
+
+
+def test_dist_on_truncated_database(capsys, g3_db, tmp_path):
+    bad = tmp_path / "bad.db"
+    with open(g3_db, "rb") as fh:
+        bad.write_bytes(fh.read()[:-5])
+    code, _, err = invoke(capsys, "dist", "--db", str(bad), "--matrix", "111,010,011")
+    assert code == 1
+    assert "entry block" in err
+
+
 def test_dist_beyond_horizon_exit(capsys, tmp_path):
     shallow = tmp_path / "shallow.db"
     assert run(["explore", "--n", "3", "--max-depth", "1",

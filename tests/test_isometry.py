@@ -2,6 +2,7 @@
 
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 
 import numpy as np
@@ -19,6 +20,8 @@ from cnotcayley.gf2 import (
     transpose_inverse,
     transvection_matrix,
 )
+from cnotcayley.bfs import _successors
+from cnotcayley.errors import SingularError
 from cnotcayley.isometry import (
     IsometrySpec,
     act,
@@ -26,6 +29,7 @@ from cnotcayley.isometry import (
     canonicalize_batch,
     canonicalize_reference,
     successor_orbits,
+    transpose_inverse_keys,
 )
 
 SYM = IsometrySpec.SYM
@@ -269,6 +273,76 @@ def test_order_two_groups_coincide():
         assert canonicalize(m, SYM) == canonicalize(m, SYM_TI)
         assert transpose_inverse(m) == \
             gf2.conjugate_by_perm(gf2.parse_perm("(1 2)", 2), m)
+
+
+# ---------------------------------------------------------------------------
+# the batched transpose-inverse and its derivation from a parent
+# ---------------------------------------------------------------------------
+
+
+def random_keys(n, count, seed):
+    rng = random.Random(seed)
+    return np.array([random_invertible(n, rng).bits for _ in range(count)],
+                    dtype=np.uint64)
+
+
+def scalar_ti(keys, n):
+    return np.array([gf2.transpose_inverse_bits(int(k), n) for k in keys],
+                    dtype=np.uint64)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ti_keys_whole_group(n):
+    keys = np.array(enumerate_group(n), dtype=np.uint64)
+    assert np.array_equal(transpose_inverse_keys(keys, n), scalar_ti(keys, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 8])
+def test_ti_keys_random_invertibles(n):
+    keys = random_keys(n, 2000, 40 + n)
+    assert np.array_equal(transpose_inverse_keys(keys, n), scalar_ti(keys, n))
+
+
+def test_ti_keys_empty():
+    out = transpose_inverse_keys(np.empty(0, dtype=np.uint64), 5)
+    assert out.dtype == np.uint64 and out.size == 0
+
+
+def test_ti_keys_singular_in_batch_raises():
+    keys = random_keys(5, 50, 7)
+    # rows e1, e2, e3, e4, e4: rank 4, so only the last column lacks a pivot
+    keys[31] = sum(1 << (5 * i + min(i, 3)) for i in range(5))
+    assert gf2._rank_bits(int(keys[31]), 5) == 4
+    with pytest.raises(SingularError):
+        transpose_inverse_keys(keys, 5)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_swapped_successors_of_ti_are_ti_of_successors(n):
+    frontier = random_keys(n, 40, 50 + n)
+    derived = _successors(transpose_inverse_keys(frontier, n), n, swap=True)
+    direct = transpose_inverse_keys(_successors(frontier, n), n)
+    assert np.array_equal(derived, direct)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batch_with_given_ti_matches_default(threads):
+    # at n=7 the keys span two chunks, so the executor path slices ti
+    for n, count in ((3, 100), (5, 300), (7, 60)):
+        keys = _successors(random_keys(n, count, 60 + n), n)
+        ti = transpose_inverse_keys(keys, n)
+        with ThreadPoolExecutor(threads) as ex:
+            executor = ex if threads > 1 else None
+            default = canonicalize_batch(keys, n, SYM_TI, executor)
+            given = canonicalize_batch(keys, n, SYM_TI, executor, ti=ti)
+        assert np.array_equal(default[0], given[0])
+        assert np.array_equal(default[1], given[1])
+
+
+def test_batch_rejects_misaligned_ti():
+    keys = random_keys(4, 10, 70)
+    with pytest.raises(ValueError):
+        canonicalize_batch(keys, 4, SYM_TI, ti=keys[:5])
 
 
 # ---------------------------------------------------------------------------

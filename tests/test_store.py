@@ -1,5 +1,6 @@
 """Database format: round trips, byte reproducibility, seek-based lookup."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -8,7 +9,30 @@ import pytest
 from cnotcayley import store
 from cnotcayley.bfs import distance_of, isometry_bfs
 from cnotcayley.errors import DatabaseError, HorizonError
-from cnotcayley.gf2 import BitMatrix, parse_matrix, random_invertible
+from cnotcayley.gf2 import BitMatrix, identity, parse_matrix, random_invertible
+from cnotcayley.isometry import IsometrySpec
+
+# SHA-256 of complete saved databases, frozen from the implementation
+# that computed every transpose-inverse with the scalar F2 inverse.
+FROZEN_SHA256 = {
+    (1, "sym"): "b5a22a301a42ace7ccea9b6d01a490e3850e4a1c399212530000e0ce5df4d368",
+    (1, "sym-ti"): "a067a2b4b9b015664ec5e222d1b1957bda607011358c4ef9bb0d53bf284b8c7b",
+    (2, "sym"): "9f5d26b14f3f21997f68eed721ab4554f669f8a5f3b508c8efd594703f22ea47",
+    (2, "sym-ti"): "37be5ac388a2a4e54c42a7e20344d37a7e95072521aa54ea86e63365ffa6e833",
+    (3, "sym"): "318da3d3052c4d3250e7a0805c86af821cd6ef7153b6667b5f27b728380a6dd3",
+    (3, "sym-ti"): "17e495413d85ef9722739a6dbff2d85b9e8954f37931b4df5511f7c3057e64ac",
+    (4, "sym"): "0ccc52af0126af231ba501c5804c1b9f224976da2758be488ff9dc2a93698db2",
+    (4, "sym-ti"): "0bf232a5eb4e4628cf1297ee514741c44de5f3b892bc866787c5d8a60e38a82f",
+    (5, "sym"): "12794313bfddb39d685b4803202468f51d6230cb92578e3c8e42c0c019fa95e3",
+    (5, "sym-ti"): "741d94892376ad851cee485f56b24f5c6242168ff09a80ede0e7da2b50fab867",
+}
+
+
+@pytest.mark.parametrize("n, spec", sorted(FROZEN_SHA256))
+def test_saved_databases_frozen(explored, tmp_path, n, spec):
+    path = tmp_path / "g.db"
+    store.save(explored(n, IsometrySpec(spec)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FROZEN_SHA256[n, spec]
 
 
 def test_round_trip_field_by_field(explored, tmp_path):
@@ -109,6 +133,20 @@ def test_lookup_beyond_horizon(tmp_path):
     deep = parse_matrix("0001,0010,0100,1000")  # distance 3(4-1)=9
     with pytest.raises(HorizonError):
         store.lookup(path, deep)
+
+
+def test_lookup_checks_file_length(explored, tmp_path):
+    path = tmp_path / "g3.db"
+    store.save(explored(3), path)
+    blob = path.read_bytes()
+    assert store.lookup(path, identity(3)) == 0
+    bad = tmp_path / "bad.db"
+    # cut in the sphere table, in the entry block, at a record boundary,
+    # and one record too many
+    for cut in (blob[:30], blob[:-5], blob[:-9], blob + blob[-9:]):
+        bad.write_bytes(cut)
+        with pytest.raises(DatabaseError):
+            store.lookup(bad, identity(3))
 
 
 def test_lookup_order_mismatch(explored, tmp_path):
