@@ -16,7 +16,6 @@ from .bfs import (
     bidirectional_distance,
     distance_of,
     isometry_bfs,
-    plain_bfs_levels,
     synthesize,
 )
 from .bounds import SphereProfile, ell, gl_order, quadratic_bound

@@ -1,14 +1,19 @@
-"""Level-synchronous breadth-first exploration of the transvection
-Cayley graph, reduced to one stored representative per isometry orbit.
+"""Level-synchronous breadth-first search of the transvection Cayley
+graph, with one level generator serving two modes.
 
-The frontier at distance d is a sorted array of canonical keys.  Every
-successor T*g of a frontier key is canonicalized; keys not seen in the
-previous, current or accruing next level are new, enter the next level,
-and contribute their full orbit size to the element count of sphere
-d+1 exactly once.  Because the generators are involutions the graph is
-undirected and an edge can only stay within a level or connect adjacent
-levels, so checking three levels suffices and memory stays proportional
-to the number of stored orbits.
+Reduced (``isometry_bfs``): from the identity, one canonical
+representative per isometry orbit is stored.  Every successor T*g of a
+frontier key is canonicalized; keys not seen in the previous, current
+or accruing next level are new, enter the next level, and contribute
+their full orbit size to the element count of sphere d+1 exactly once.
+Because the generators are involutions the graph is undirected and an
+edge can only stay within a level or connect adjacent levels, so
+checking three levels suffices and memory stays proportional to the
+number of stored orbits.
+
+Unreduced (the backward side of ``bidirectional_distance``): the same
+loop from an arbitrary start with no canonicalization, where every key
+is its own orbit.
 
 Early termination keeps every recorded distance exact: a depth cap
 stops *between* levels (everything recorded is complete), while an
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import resource
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -39,8 +45,6 @@ from .errors import (
 )
 from .gf2 import BitMatrix, Circuit, Transvection
 from .isometry import IsometrySpec, canonicalize, canonicalize_batch
-
-_U1 = np.uint64(1)
 
 
 @dataclass
@@ -142,109 +146,44 @@ def _successors(keys: np.ndarray, n: int, swap: bool = False) -> np.ndarray:
     return out.reshape(-1)
 
 
+def _pool(threads: int):
+    """A worker pool for canonicalization when ``threads > 1``; else a
+    context that yields None (serial)."""
+    return ThreadPoolExecutor(threads) if threads > 1 else nullcontext()
+
+
 def isometry_bfs(n: int, spec: IsometrySpec = IsometrySpec.SYM,
                  limits: SearchLimits | None = None,
-                 log=None, store_keys: bool = True) -> ExplorationResult:
+                 log=None) -> ExplorationResult:
     """Explore the Cayley graph of GL(n,2) from the identity.
 
     Returns exact distances for every stored canonical key and exact
     big-integer sphere sizes, stopping when the graph is exhausted or a
     limit trips.  With ``limits.threads > 1`` canonicalization batches
     run concurrently; the result is identical for any thread count.
-
-    ``store_keys=False`` is the streaming mode: only the two working
-    levels are kept in memory and the result carries sphere sizes and
-    orbit counts but no key map (so no distance queries).
     """
     if not 1 <= n <= gf2.MAX_ORDER:
         raise OrderError(f"order must be in 1..{gf2.MAX_ORDER}, got {n}")
     limits = limits or SearchLimits()
-    executor = ThreadPoolExecutor(limits.threads) if limits.threads > 1 else None
-    try:
-        return _bfs_loop(n, spec, limits, executor, log, store_keys)
-    finally:
-        if executor is not None:
-            executor.shutdown()
-
-
-def _bfs_loop(n, spec, limits, executor, log, store_keys) -> ExplorationResult:
-    level_keys = [np.array([gf2.identity(n).bits], dtype=np.uint64)]
-    level_sizes = [np.array([1], dtype=np.uint64)]
-    sphere_sizes = [1]
-    orbit_counts = [1]
-    stored = 1
-    complete = False
-    last_level_complete = True
-    prev = np.empty(0, dtype=np.uint64)
-    curr = level_keys[0]
-    depth = 0
-    # cap the per-block successor array at ~2^20 entries
-    block_rows = max(1, (1 << 20) // max(1, n * (n - 1)))
-
-    while True:
-        if limits.max_depth is not None and depth >= limits.max_depth:
-            break
-        parts_keys: list[np.ndarray] = []
-        parts_sizes: list[np.ndarray] = []
-        next_sorted = np.empty(0, dtype=np.uint64)
-        truncated = False
-        for start in range(0, curr.size, block_rows):
-            block = curr[start:start + block_rows]
-            succ = _successors(block, n)
-            # one inversion per frontier key instead of one per successor
-            ti = (_successors(isometry.transpose_inverse_keys(block, n), n, swap=True)
-                  if spec.uses_ti else None)
-            canon, sizes = canonicalize_batch(succ, n, spec, executor, ti=ti)
-            uniq, first = np.unique(canon, return_index=True)
-            usizes = sizes[first]
-            keep = ~_in_sorted(uniq, prev)
-            keep &= ~_in_sorted(uniq, curr)
-            keep &= ~_in_sorted(uniq, next_sorted)
-            new = uniq[keep]
-            if new.size == 0:
-                continue
-            parts_keys.append(new)
-            parts_sizes.append(usizes[keep])
-            next_sorted = np.sort(np.concatenate([next_sorted, new]))
-            stored += new.size
-            if limits.max_orbits is not None and stored > limits.max_orbits:
-                truncated = True
-                break
-        if parts_keys:
-            allk = np.concatenate(parts_keys)
-            order = np.argsort(allk)
-            nxt_keys = allk[order]
-            nxt_sizes = np.concatenate(parts_sizes)[order]
-            if store_keys:
-                level_keys.append(nxt_keys)
-                level_sizes.append(nxt_sizes)
-            sphere_sizes.append(int(sum(int(s) for s in nxt_sizes)))
-            orbit_counts.append(int(nxt_keys.size))
-            depth += 1
-            if log is not None:
-                print(f"level {depth}: orbits={orbit_counts[-1]} "
-                      f"elements={sphere_sizes[-1]} stored={stored} "
+    level_keys: list[np.ndarray] = []
+    level_sizes: list[np.ndarray] = []
+    sphere_sizes: list[int] = []
+    orbit_counts: list[int] = []
+    with _pool(limits.threads) as executor:
+        for keys, sizes, whole in _levels(n, spec, gf2.identity(n).bits,
+                                          limits, executor):
+            level_keys.append(keys)
+            level_sizes.append(sizes)
+            # orbit sizes <= 2*8! and |GL(8,2)| < 2^63, so uint64 is exact
+            sphere_sizes.append(int(sizes.sum(dtype=np.uint64)))
+            orbit_counts.append(int(keys.size))
+            if log is not None and len(level_keys) > 1:
+                print(f"level {len(level_keys) - 1}: orbits={orbit_counts[-1]} "
+                      f"elements={sphere_sizes[-1]} stored={sum(orbit_counts)} "
                       f"peak_rss={_peak_rss_mb():.1f}MB", file=log, flush=True)
-            prev, curr = curr, nxt_keys
-        if truncated:
-            last_level_complete = False
-            break
-        if not parts_keys:
-            complete = True
-            break
-
-    # a truncated run may still have visited every element
-    if not complete and sum(sphere_sizes) == gl_order(n):
-        complete = True
-        last_level_complete = True
-    if not store_keys:
-        return ExplorationResult(
-            n=n, spec=spec,
-            keys=np.empty(0, dtype=np.uint64), dists=np.empty(0, dtype=np.uint8),
-            sphere_sizes=sphere_sizes, orbit_counts=orbit_counts,
-            complete=complete, last_level_complete=last_level_complete,
-            orbit_sizes=None,
-        )
+    # the graph is connected, so having counted every element means
+    # every level is exact, even after a budget stop
+    complete = sum(sphere_sizes) == gl_order(n)
     keys = np.concatenate(level_keys)
     dists = np.concatenate([np.full(k.size, d, dtype=np.uint8)
                             for d, k in enumerate(level_keys)])
@@ -254,9 +193,87 @@ def _bfs_loop(n, spec, limits, executor, log, store_keys) -> ExplorationResult:
         n=n, spec=spec,
         keys=keys[order], dists=dists[order],
         sphere_sizes=sphere_sizes, orbit_counts=orbit_counts,
-        complete=complete, last_level_complete=last_level_complete,
+        complete=complete, last_level_complete=whole or complete,
         orbit_sizes=osizes[order],
     )
+
+
+def _levels(n: int, spec: IsometrySpec | None, start: int,
+            limits: SearchLimits, executor):
+    """BFS levels from the key ``start``, as (sorted keys, orbit sizes,
+    whole) triples, level 0 first.
+
+    Under a spec each key is a canonical orbit representative; ``start``
+    must then be fixed by the whole group (the identity is), so its
+    orbit size is 1.  ``spec=None`` explores unreduced: every key is its
+    own orbit and the sizes are None.  ``whole`` is False only on a last
+    level cut short by ``limits.max_orbits``.
+
+    Only the two newest levels stay referenced here while a level is
+    handed out: a suspended generator keeps its locals alive, so the
+    expansion's temporaries live and die in ``_next_level``.
+    """
+    prev = np.empty(0, dtype=np.uint64)
+    curr = np.array([start], dtype=np.uint64)
+    yield curr, (None if spec is None else np.ones(1, dtype=np.uint64)), True
+    stored = 1
+    depth = 0
+    while limits.max_depth is None or depth < limits.max_depth:
+        budget = None if limits.max_orbits is None else limits.max_orbits - stored
+        nxt, sizes, whole = _next_level(n, spec, prev, curr, executor, budget)
+        if nxt.size == 0:
+            return
+        stored += nxt.size
+        depth += 1
+        prev, curr = curr, nxt
+        yield curr, sizes, whole
+        if not whole:
+            return
+
+
+def _next_level(n, spec, prev, curr, executor, budget):
+    """The level after ``curr``: sorted keys, aligned orbit sizes (None
+    when unreduced), and whether it is whole.  Expansion stops after the
+    block that takes the number of new keys past ``budget``."""
+    # cap the per-block successor array at ~2^20 entries
+    block_rows = max(1, (1 << 20) // max(1, n * (n - 1)))
+    nxt = np.empty(0, dtype=np.uint64)
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    whole = True
+    for s in range(0, curr.size, block_rows):
+        new, sizes = _expand(curr[s:s + block_rows], n, spec, executor)
+        keep = ~_in_sorted(new, prev)
+        keep &= ~_in_sorted(new, curr)
+        keep &= ~_in_sorted(new, nxt)
+        new = new[keep]
+        if new.size == 0:
+            continue
+        nxt = np.sort(np.concatenate([nxt, new]))
+        if sizes is not None:
+            parts.append((new, sizes[keep]))
+        if budget is not None and nxt.size > budget:
+            whole = False
+            break
+    if spec is None:
+        return nxt, None, whole
+    nxt_sizes = np.empty(nxt.size, dtype=np.uint64)
+    for new, sizes in parts:
+        nxt_sizes[np.searchsorted(nxt, new)] = sizes
+    return nxt, nxt_sizes, whole
+
+
+def _expand(block: np.ndarray, n: int, spec: IsometrySpec | None, executor):
+    """Distinct keys one step from ``block``, sorted, with their orbit
+    sizes (None when unreduced)."""
+    succ = _successors(block, n)
+    if spec is None:
+        return np.unique(succ), None
+    # one inversion per frontier key instead of one per successor
+    ti = (_successors(isometry.transpose_inverse_keys(block, n), n, swap=True)
+          if spec.uses_ti else None)
+    canon, sizes = canonicalize_batch(succ, n, spec, executor, ti=ti)
+    uniq, first = np.unique(canon, return_index=True)
+    return uniq, sizes[first]
 
 
 # ---------------------------------------------------------------------------
@@ -315,29 +332,8 @@ def synthesize(res: ExplorationResult, m: BitMatrix) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# plain (unreduced) BFS and the bidirectional probe
+# the bidirectional probe
 # ---------------------------------------------------------------------------
-
-
-def plain_bfs_levels(n: int, start: BitMatrix | None = None,
-                     max_depth: int | None = None):
-    """Unreduced BFS levels from ``start`` (default the identity), as a
-    generator of (distance, sorted key array).  Memory is two levels."""
-    if not 1 <= n <= gf2.MAX_ORDER:
-        raise OrderError(f"order must be in 1..{gf2.MAX_ORDER}, got {n}")
-    start_bits = gf2.identity(n).bits if start is None else start.bits
-    prev = np.empty(0, dtype=np.uint64)
-    curr = np.array([start_bits], dtype=np.uint64)
-    d = 0
-    while curr.size:
-        yield d, curr
-        if max_depth is not None and d >= max_depth:
-            return
-        succ = np.unique(_successors(curr, n))
-        keep = ~_in_sorted(succ, prev)
-        keep &= ~_in_sorted(succ, curr)
-        prev, curr = curr, succ[keep]
-        d += 1
 
 
 @dataclass(frozen=True)
@@ -356,7 +352,7 @@ def bidirectional_distance(n: int, target: BitMatrix,
     """Meet-in-the-middle distance probe.
 
     A reduced forward ball of radius ``fwd_depth`` around the identity
-    is intersected with plain backward levels from ``target``.  The
+    is intersected with unreduced backward levels from ``target``.  The
     first backward level b containing an element of the forward ball
     yields the exact distance min(forward distance) + b; if the two
     horizons never meet, distance >= fwd_depth + bwd_depth + 1 is
@@ -368,16 +364,14 @@ def bidirectional_distance(n: int, target: BitMatrix,
     threads = limits.threads if limits else 1
     fwd = isometry_bfs(n, spec, SearchLimits(max_depth=fwd_depth, threads=threads),
                        log=log)
-    executor = ThreadPoolExecutor(threads) if threads > 1 else None
-    try:
-        for b, level in plain_bfs_levels(n, start=target, max_depth=bwd_depth):
+    with _pool(threads) as executor:
+        for b, (level, _, _) in enumerate(_levels(
+                n, None, target.bits, SearchLimits(max_depth=bwd_depth), executor)):
             canon, _ = canonicalize_batch(level, n, spec, executor)
             canon = np.unique(canon)
-            idx = np.searchsorted(fwd.keys, canon)
-            idx[idx == fwd.keys.size] = fwd.keys.size - 1 if fwd.keys.size else 0
-            hit = fwd.keys[idx] == canon
-            if hit.any():
-                best = int(fwd.dists[idx[hit]].min())
+            met = canon[_in_sorted(canon, fwd.keys)]
+            if met.size:
+                best = int(fwd.dists[np.searchsorted(fwd.keys, met)].min())
                 if log is not None:
                     print(f"backward level {b}: met forward ball at depth {best}",
                           file=log, flush=True)
@@ -385,7 +379,4 @@ def bidirectional_distance(n: int, target: BitMatrix,
             if log is not None:
                 print(f"backward level {b}: {level.size} elements, no meet",
                       file=log, flush=True)
-    finally:
-        if executor is not None:
-            executor.shutdown()
     return BidirOutcome(fwd_depth + bwd_depth + 1, exact=False)

@@ -161,7 +161,7 @@ def _cmd_synth(args) -> int:
 def _cmd_perm_check(args) -> int:
     if args.db:
         res = store.load(args.db)
-    elif args.n:
+    elif args.n is not None:
         res = isometry_bfs(args.n, limits=SearchLimits(threads=args.threads),
                            log=sys.stderr)
     else:

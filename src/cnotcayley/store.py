@@ -1,25 +1,9 @@
 """Binary distance databases: compact, byte-reproducible, binary-searchable.
 
-Layout (all little-endian, no timestamps anywhere):
-
-    offset  size  field
-    0       8     magic "GL2CAYDB"
-    8       2     format version (u16) = 1
-    10      1     matrix order n (u8)
-    11      1     isometry tag (u8): 0 = sym, 1 = sym-ti
-    12      1     complete flag (u8)
-    13      1     last-level-complete flag (u8)
-    14      2     max complete depth (u16)
-    16      2     level count (u16)
-    18      8     entry count (u64)
-    26      ...   sphere table, one block per level:
-                      orbit count (u64),
-                      element count as decimal ASCII (u16 length + bytes)
-    ...     9*E   entries: (canonical key u64, distance u8), sorted by key
-
-Keys are the packed row-major matrix words, so records are bit-exact
-across platforms; element counts are decimal strings because they are
-exact integers of unbounded size.
+The layout and the checks a reader makes are specified in
+``docs/db_format.md``.  Keys are the packed row-major matrix words, so
+records are bit-exact across platforms; sphere element counts are
+decimal strings because they are exact integers of unbounded size.
 """
 
 from __future__ import annotations
@@ -27,9 +11,11 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from . import gf2
 from .bfs import ExplorationResult
 from .errors import DatabaseError, HorizonError
 from .gf2 import BitMatrix
@@ -48,7 +34,7 @@ _TAG_SPECS = {v: k for k, v in _SPEC_TAGS.items()}
 def save(res: ExplorationResult, path) -> None:
     """Write a result; identical inputs give byte-identical files."""
     if res.keys.size != sum(res.orbit_counts):
-        raise ValueError("result has no key map (streaming run?); nothing to persist")
+        raise ValueError("result keys do not match its orbit counts; nothing to persist")
     levels = len(res.sphere_sizes)
     max_complete = res.max_exact_depth
     blob = bytearray()
@@ -66,58 +52,81 @@ def save(res: ExplorationResult, path) -> None:
     Path(path).write_bytes(bytes(blob))
 
 
-def _parse_header(buf: bytes):
-    if len(buf) < _HEADER.size:
+class _Layout(NamedTuple):
+    n: int
+    spec: IsometrySpec
+    complete: bool
+    last_complete: bool
+    orbit_counts: list[int]
+    sphere_sizes: list[int]
+    entry_count: int
+    offset: int  # of the entry block
+
+
+def _read_layout(fh) -> _Layout:
+    """Parse the header and sphere table of an open database and check
+    them against each other and against the file length."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
         raise DatabaseError("file shorter than the header")
     magic, version, n, spec_tag, complete, last_complete, max_complete, \
-        levels, entry_count = _HEADER.unpack_from(buf, 0)
+        levels, entry_count = _HEADER.unpack(head)
     if magic != MAGIC:
         raise DatabaseError(f"bad magic {magic!r}")
     if version != VERSION:
         raise DatabaseError(f"unsupported format version {version}")
+    if not 1 <= n <= gf2.MAX_ORDER:
+        raise DatabaseError(f"matrix order {n} outside 1..{gf2.MAX_ORDER}")
     if spec_tag not in _TAG_SPECS:
         raise DatabaseError(f"unknown isometry tag {spec_tag}")
-    return (n, _TAG_SPECS[spec_tag], bool(complete), bool(last_complete),
-            max_complete, levels, entry_count)
+    orbit_counts = []
+    sphere_sizes = []
+    for _ in range(levels):
+        level_head = fh.read(_LEVEL_HEAD.size)
+        if len(level_head) != _LEVEL_HEAD.size:
+            raise DatabaseError("truncated sphere table")
+        oc, dlen = _LEVEL_HEAD.unpack(level_head)
+        digits = fh.read(dlen)
+        if len(digits) != dlen or not digits.isdigit():
+            raise DatabaseError("corrupt sphere element count")
+        orbit_counts.append(oc)
+        sphere_sizes.append(int(digits))
+    offset = fh.tell()
+    if size - offset != entry_count * _ENTRY_DTYPE.itemsize:
+        raise DatabaseError(
+            f"entry block is {size - offset} bytes, expected {entry_count} entries")
+    if sum(orbit_counts) != entry_count:
+        raise DatabaseError("orbit counts do not match the entry count")
+    if int(max_complete) != levels - 1 - (0 if last_complete else 1):
+        raise DatabaseError("inconsistent depth fields")
+    return _Layout(n, _TAG_SPECS[spec_tag], bool(complete), bool(last_complete),
+                   orbit_counts, sphere_sizes, entry_count, offset)
 
 
 def load(path) -> ExplorationResult:
     """Read a database back into an ExplorationResult (orbit sizes are
     not persisted and come back as None; they are recomputable)."""
-    buf = Path(path).read_bytes()
-    n, spec, complete, last_complete, max_complete, levels, entry_count = \
-        _parse_header(buf)
-    off = _HEADER.size
-    orbit_counts = []
-    sphere_sizes = []
-    for _ in range(levels):
-        if off + _LEVEL_HEAD.size > len(buf):
-            raise DatabaseError("truncated sphere table")
-        oc, dlen = _LEVEL_HEAD.unpack_from(buf, off)
-        off += _LEVEL_HEAD.size
-        digits = buf[off:off + dlen]
-        if len(digits) != dlen or not digits.isdigit():
-            raise DatabaseError("corrupt sphere element count")
-        off += dlen
-        orbit_counts.append(int(oc))
-        sphere_sizes.append(int(digits))
-    body = buf[off:]
-    if len(body) != entry_count * _ENTRY_DTYPE.itemsize:
-        raise DatabaseError(
-            f"entry block is {len(body)} bytes, expected {entry_count} entries")
-    entries = np.frombuffer(body, dtype=_ENTRY_DTYPE)
+    with open(path, "rb") as fh:
+        lay = _read_layout(fh)
+        entries = np.frombuffer(fh.read(), dtype=_ENTRY_DTYPE)
     keys = entries["key"].copy()
     dists = entries["dist"].copy()
+    levels = len(lay.orbit_counts)
     if keys.size and np.any(keys[1:] <= keys[:-1]):
         raise DatabaseError("entries are not strictly sorted by key")
-    if sum(orbit_counts) != entry_count:
-        raise DatabaseError("orbit counts do not match the entry count")
-    if int(max_complete) != levels - 1 - (0 if last_complete else 1):
-        raise DatabaseError("inconsistent depth fields")
+    if keys.size and int(keys[-1]) >> (lay.n * lay.n):
+        raise DatabaseError(f"key {int(keys[-1]):#x} has bits beyond an "
+                            f"order-{lay.n} matrix")
+    if dists.size and int(dists.max()) >= levels:
+        raise DatabaseError(f"distance {int(dists.max())} beyond the "
+                            f"{levels} recorded levels")
+    if np.bincount(dists, minlength=levels).tolist() != lay.orbit_counts:
+        raise DatabaseError("distance histogram does not match the orbit counts")
     return ExplorationResult(
-        n=n, spec=spec, keys=keys, dists=dists,
-        sphere_sizes=sphere_sizes, orbit_counts=orbit_counts,
-        complete=complete, last_level_complete=last_complete,
+        n=lay.n, spec=lay.spec, keys=keys, dists=dists,
+        sphere_sizes=lay.sphere_sizes, orbit_counts=lay.orbit_counts,
+        complete=lay.complete, last_level_complete=lay.last_complete,
         orbit_sizes=None,
     )
 
@@ -134,28 +143,16 @@ def lookup(source, m: BitMatrix) -> int:
         from .bfs import distance_of
         return distance_of(source, m)
     with open(source, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(_HEADER.size)
-        n, spec, _, _, _, levels, entry_count = _parse_header(head)
-        if m.n != n:
-            raise DatabaseError(f"matrix order {m.n} vs database order {n}")
-        # skip the variable-length sphere table
-        off = _HEADER.size
-        for _ in range(levels):
-            if off + _LEVEL_HEAD.size > size:
-                raise DatabaseError("truncated sphere table")
-            fh.seek(off)
-            _, dlen = _LEVEL_HEAD.unpack(fh.read(_LEVEL_HEAD.size))
-            off += _LEVEL_HEAD.size + dlen
-        if size - off != entry_count * _ENTRY_DTYPE.itemsize:
-            raise DatabaseError(
-                f"entry block is {size - off} bytes, expected {entry_count} entries")
-        key = canonicalize(m, spec).key.bits
-        lo, hi = 0, entry_count
+        lay = _read_layout(fh)
+        if m.n != lay.n:
+            raise DatabaseError(f"matrix order {m.n} vs database order {lay.n}")
+        key = canonicalize(m, lay.spec).key.bits
+        lo, hi = 0, lay.entry_count
         while lo < hi:
             mid = (lo + hi) // 2
-            fh.seek(off + mid * _ENTRY_DTYPE.itemsize)
-            rec = fh.read(_ENTRY_DTYPE.itemsize)
+            # one positioned read per probe, bypassing the 8 KiB buffer fill
+            rec = os.pread(fh.fileno(), _ENTRY_DTYPE.itemsize,
+                           lay.offset + mid * _ENTRY_DTYPE.itemsize)
             k, d = struct.unpack("<QB", rec)
             if k == key:
                 return d
@@ -164,7 +161,7 @@ def lookup(source, m: BitMatrix) -> int:
             else:
                 hi = mid
     raise HorizonError(
-        f"element beyond the explored horizon (depth {levels - 1})")
+        f"element beyond the explored horizon (depth {len(lay.orbit_counts) - 1})")
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ from cnotcayley import gf2
 from cnotcayley.bfs import (
     BidirOutcome,
     SearchLimits,
+    _levels,
     bidirectional_distance,
     distance_of,
     isometry_bfs,
-    plain_bfs_levels,
     synthesize,
 )
 from cnotcayley.bounds import gl_order
@@ -80,13 +80,18 @@ def test_distances_match_unreduced_oracle(n, explored, oracle_dist):
 
 
 def test_plain_bfs_levels_match_oracle(oracle_dist):
-    truth = oracle_dist(4)
-    seen = 0
-    for d, level in plain_bfs_levels(4):
-        for bits in level:
-            assert truth[int(bits)] == d
-        seen += level.size
-    assert seen == gl_order(4)
+    # the engine's unreduced mode: every element is its own orbit
+    for n in (3, 4):
+        truth = oracle_dist(n)
+        seen = 0
+        for d, (level, sizes, whole) in enumerate(
+                _levels(n, None, identity(n).bits, SearchLimits(), None)):
+            assert sizes is None and whole
+            assert np.all(level[1:] > level[:-1])
+            for bits in level:
+                assert truth[int(bits)] == d
+            seen += level.size
+        assert seen == gl_order(n)
 
 
 def test_distance_symmetry_under_inverse(explored):
@@ -194,15 +199,17 @@ def test_limit_validation():
         SearchLimits(threads=0)
 
 
-def test_streaming_mode_keeps_only_counts(explored):
-    full = explored(4)
-    res = isometry_bfs(4, store_keys=False)
-    assert res.sphere_sizes == full.sphere_sizes
-    assert res.orbit_counts == full.orbit_counts
-    assert res.complete
-    assert res.keys.size == 0 and res.orbit_sizes is None
-    with pytest.raises(HorizonError):
-        distance_of(res, identity(4))
+def test_max_orbits_budget_covering_the_group(explored):
+    # one orbit short, the budget trips on the last level's only orbit:
+    # a stop mid-level that has nonetheless counted every element
+    full = explored(3)
+    total = sum(full.orbit_counts)
+    for budget in (total - 1, total):
+        res = isometry_bfs(3, limits=SearchLimits(max_orbits=budget))
+        assert res.complete and res.last_level_complete
+        assert res.sphere_sizes == full.sphere_sizes
+        assert np.array_equal(res.keys, full.keys)
+        assert np.array_equal(res.orbit_sizes, full.orbit_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +274,22 @@ def test_bidir_asymmetric_split(explored):
             out = bidirectional_distance(3, m, fwd_depth=max(fwd, 1),
                                          bwd_depth=max(d - fwd, 1))
             assert out.exact and out.value == d
+
+
+@pytest.mark.parametrize("n, fwd, bwd, expected", [
+    (4, 5, 4, BidirOutcome(9, True)),
+    (4, 2, 2, BidirOutcome(5, False)),
+    # backward level 5 holds 117,860 elements, two canonicalization
+    # chunks, so the workers really split it
+    (5, 7, 5, BidirOutcome(12, True)),
+])
+def test_bidir_threads_agree(n, fwd, bwd, expected):
+    # the long cycle (distance 9 at n=4, 12 at n=5): meets and a
+    # depth-limited miss come out the same for one and two workers
+    target = perm_matrix(parse_perm(f"({' '.join(map(str, range(1, n + 1)))})", n))
+    for threads in (1, 2):
+        assert bidirectional_distance(n, target, IsometrySpec.SYM, fwd, bwd,
+                                      limits=SearchLimits(threads=threads)) == expected
 
 
 def test_bidir_certified_lower_bound(explored):

@@ -112,6 +112,14 @@ def test_perm_check(capsys):
     assert "1+1+1,0,0,PASS" in lines
 
 
+def test_perm_check_order_zero(capsys):
+    # an explicit --n 0 is an out-of-range order, not a missing --n
+    code, _, err = invoke(capsys, "perm-check", "--n", "0")
+    assert code == 1
+    assert "order must be in 1..8, got 0" in err
+    assert "needs --db or --n" not in err
+
+
 def test_classify(capsys, g3_db):
     code, out, _ = invoke(capsys, "classify", "--db", g3_db)
     assert code == 0

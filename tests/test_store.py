@@ -113,6 +113,45 @@ def test_corruption_detection(explored, tmp_path):
         store.load(bad)
 
 
+@pytest.fixture
+def g3_blob(explored, tmp_path):
+    path = tmp_path / "g3.db"
+    store.save(explored(3), path)
+    return bytearray(path.read_bytes())
+
+
+def test_header_order_out_of_range(g3_blob, tmp_path):
+    bad = tmp_path / "bad.db"
+    for n in (0, 9):
+        g3_blob[10] = n
+        bad.write_bytes(g3_blob)
+        with pytest.raises(DatabaseError, match="outside 1..8"):
+            store.load(bad)
+        with pytest.raises(DatabaseError, match="outside 1..8"):
+            store.lookup(bad, identity(3))
+
+
+def test_key_wider_than_the_order(g3_blob, tmp_path):
+    # still sorted, since it exceeds every order-3 key
+    g3_blob[-9:-1] = (0x7F00000000000177).to_bytes(8, "little")
+    bad = tmp_path / "bad.db"
+    bad.write_bytes(g3_blob)
+    with pytest.raises(DatabaseError, match="bits beyond"):
+        store.load(bad)
+
+
+def test_distance_histogram_checked(g3_blob, tmp_path):
+    bad = tmp_path / "bad.db"
+    # a flip within range moves one orbit to another level; a flip of
+    # the high bits leaves the recorded levels altogether
+    for flip, msg in ((0x01, "histogram"), (0xFF, "beyond")):
+        blob = bytearray(g3_blob)
+        blob[-1] ^= flip
+        bad.write_bytes(blob)
+        with pytest.raises(DatabaseError, match=msg):
+            store.load(bad)
+
+
 def test_lookup_from_loaded_and_from_file(explored, tmp_path):
     res = explored(4)
     path = tmp_path / "g4.db"
