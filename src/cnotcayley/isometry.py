@@ -8,17 +8,31 @@ symmetric group alone, or its product with the order-2 transpose-inverse
 group.
 
 The canonical representative of an orbit is *defined* as the minimum
-packed value over the orbit.  ``canonicalize`` enumerates every image of
-the acting group, so it is the brute-force definition made fast: the
-n!-fold conjugation is a bit permutation of the packed word, expressed
-as an exact float64 matrix product of the unpacked bit vector with a
-table of per-permutation bit weights (one product for n <= 7, whose
-packed values fit a double exactly; a two-plane lexicographic variant
-for n = 8).  ``canonicalize_reference`` is the independent pure-Python
-enumeration used to cross-check the vectorised path in CI.
+packed value over the orbit.  ``canonicalize`` computes exactly that
+minimum in one of two ways, chosen by the order:
 
-Orbit sizes come for free from the same enumeration pass via the
-orbit-stabilizer identity |orbit| * |stabilizer| = |acting group|.
+* n <= 7: every image at once.  The n!-fold conjugation is a bit
+  permutation of the packed word, expressed as an exact float64 matrix
+  product of the unpacked bit vector with a table of per-permutation
+  bit weights (packed values below 2^49 fit a double exactly).
+* n = 8: a lex-leader search (``_min_stab_search``) that builds the
+  minimum image row by row, most significant row first, over partial
+  arrangements whose candidate cells are refined by the rows already
+  placed, in the individualize-and-refine style of McKay and Piperno,
+  "Practical graph isomorphism II" (2014).  Only arrangements that
+  keep the image minimal survive each row.  Twin collapse keeps it
+  small near the identity: indices swapped by a transposition that
+  fixes the matrix give isomorphic subtrees, so one of them is expanded
+  and the leaf counts carry the class sizes' factorials.  No 8! table
+  is built.
+
+``canonicalize_reference`` is the independent pure-Python enumeration
+used to cross-check both paths in CI.
+
+Orbit sizes come from the same pass via the orbit-stabilizer identity
+|orbit| * |stabilizer| = |acting group|: the matmul path counts the
+images equal to the key, and the search counts its leaves, which are
+exactly the group elements that map the key to its canonical image.
 
 Under ``sym-ti`` every key also needs its transpose-inverse, a GF(2)
 matrix inversion.  ``transpose_inverse_keys`` does it as one vectorised
@@ -45,8 +59,6 @@ from .errors import ConsistencyError, SingularError
 from .gf2 import BitMatrix, Permutation
 
 _U1 = np.uint64(1)
-_U32 = np.uint64(32)
-_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 class IsometrySpec(Enum):
@@ -88,8 +100,9 @@ def act(sigma: Permutation, xi: int, m: BitMatrix) -> BitMatrix:
 
 
 class _PermTables:
-    """Per-order tables: all n! index permutations and, for each, the bit
-    weight every unpacked matrix entry contributes to the permuted word."""
+    """Per-order tables for n <= 7: all n! index permutations and, for
+    each, the bit weight every unpacked matrix entry contributes to the
+    permuted word."""
 
     def __init__(self, n: int):
         self.n = n
@@ -100,14 +113,8 @@ class _PermTables:
         for s, p in enumerate(self.perms):
             pv = np.array(p, dtype=np.uint64)
             packw[s] = _U1 << (pv[:, None] * np.uint64(n) + pv[None, :]).ravel()
-        if nn <= 52:
-            # every packed value < 2^(n*n) is exactly representable
-            self.wf = np.ascontiguousarray(packw.astype(np.float64).T)
-            self.wlo = self.whi = None
-        else:
-            self.wf = None
-            self.wlo = np.ascontiguousarray((packw & _LOW32).astype(np.float64).T)
-            self.whi = np.ascontiguousarray((packw >> _U32).astype(np.float64).T)
+        # every packed value < 2^(n*n) <= 2^49 is exactly representable
+        self.wf = np.ascontiguousarray(packw.astype(np.float64).T)
         # batch sizing keeps the (B, n!) image planes around 100 MB
         self.chunk = max(16, min(65536, 12_000_000 // len(self.perms)))
 
@@ -115,6 +122,17 @@ class _PermTables:
 @lru_cache(maxsize=None)
 def _tables(n: int) -> _PermTables:
     return _PermTables(n)
+
+
+# larger orders run the lex-leader search: their packed images no longer
+# fit a double, and n! images per key cost more than the search
+_MATMUL_MAX_ORDER = 7
+# keys per search chunk.  Random keys keep a few live branches each,
+# near-identity keys up to a few hundred (540 at most among the depth-5
+# successors of GL(8,2)); a whole chunk of that worst key peaks at
+# ~85 MB RSS.
+_SEARCH_CHUNK = 1024
+_POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 def transpose_inverse_keys(keys: np.ndarray, n: int) -> np.ndarray:
@@ -161,49 +179,125 @@ def _min_stab_small(src: np.ndarray, ref: np.ndarray, t: _PermTables):
     return best, stab
 
 
-def _min_stab_big(src: np.ndarray, ref: np.ndarray, t: _PermTables):
-    """n=8 variant: packed words exceed float64 precision, so images are
-    kept as exact (high, low) 32-bit planes compared lexicographically."""
-    bits = _unpack(src, t)
-    ilo = bits @ t.wlo
-    ihi = bits @ t.whi
-    mhi = ihi.min(axis=1)
-    mlo = np.where(ihi == mhi[:, None], ilo, np.inf).min(axis=1)
-    rlo = (ref & _LOW32).astype(np.float64)
-    rhi = (ref >> _U32).astype(np.float64)
-    stab = ((ihi == rhi[:, None]) & (ilo == rlo[:, None])).sum(axis=1)
-    return mhi, mlo, stab
+def _min_stab_matmul(keys: np.ndarray, ti: np.ndarray | None, t: _PermTables):
+    """Canonical key and stabilizer order of each key, from all n! images
+    of the key (and of its TI, if given) as exact float64 products."""
+    best, stab = _min_stab_small(keys, keys, t)
+    if ti is not None:
+        b2, s2 = _min_stab_small(ti, keys, t)
+        best = np.minimum(best, b2)
+        stab = stab + s2
+    return best.astype(np.int64).view(np.uint64), stab
 
 
-def _lex_merge(hi1, lo1, hi2, lo2):
-    take2 = (hi2 < hi1) | ((hi2 == hi1) & (lo2 < lo1))
-    return np.where(take2, hi2, hi1), np.where(take2, lo2, lo1)
+def _rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """(B, n) uint8: row k of every packed key as an n-bit mask."""
+    shifts = np.arange(0, n * n, n, dtype=np.uint64)
+    return ((keys[:, None] >> shifts) & np.uint64((1 << n) - 1)).astype(np.uint8)
+
+
+def _twins(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Twin classes of every matrix: i and j are twins when conjugation
+    by the transposition (i j) fixes it.  The relation is an equivalence
+    ((i k) = (i j)(j k)(i j)), and the symmetric group on each class lies
+    in the stabilizer.
+
+    Returns the (B, n) masks of the twins j < i of each index i and the
+    (B,) products of the class sizes' factorials.
+    """
+    idx = np.arange(n, dtype=np.uint8)
+    bit = np.left_shift(np.uint8(1), idx)
+    m = (rows[:, :, None] >> idx) & 1                   # m[b, i, j] = M[i][j]
+    cols = np.bitwise_or.reduce(m << idx[:, None], axis=1)
+    off = ~(bit[:, None] | bit[None, :])                 # all but i and j
+    diag = np.diagonal(m, axis1=1, axis2=2)
+    twin = ((((rows[:, :, None] ^ rows[:, None, :]) & off) == 0)
+            & (((cols[:, :, None] ^ cols[:, None, :]) & off) == 0)
+            & (m == m.transpose(0, 2, 1))
+            & (diag[:, :, None] == diag[:, None, :]))
+    twin &= np.tri(n, k=-1, dtype=bool)
+    lower = np.bitwise_or.reduce(twin * bit, axis=2).astype(np.uint8)
+    # the t-th member of a class has t-1 lower twins: the product of t
+    # over a class is |class|!
+    weight = np.prod(_POPCOUNT8[lower] + np.uint64(1), axis=1, dtype=np.uint64)
+    return lower, weight
+
+
+def _min_stab_search(keys: np.ndarray, ti: np.ndarray | None, n: int):
+    """Canonical key and stabilizer order of each key by a lex-leader
+    search, without enumerating the n! images.
+
+    A branch is a partial arrangement tau (position -> index) with an
+    ordered partition of the positions into cells, held per position as
+    the index mask of its cell and its rank in the cell.  Positions are
+    fixed from n-1, the most significant image row, down.  At position p each
+    child takes tau(p) from p's cell and splits every cell by the bits
+    of row tau(p), zeros at the higher positions: that is the exact
+    minimum of image row p for this choice.  Per key only the children
+    whose row equals the key's minimum survive.  Under a TI spec the
+    key's TI seeds branches into the same key's group.  The leaves are
+    then exactly the group elements that map the key to its canonical
+    image, and their count is the stabilizer order.
+
+    Twin collapse: twins stay in one cell until they are fixed, and
+    taking one twin instead of another gives an isomorphic subtree.  So
+    a child may take index i only once i's lower twins are fixed, and
+    each leaf stands for prod |class|! arrangements.  TI commutes with
+    conjugation, so the key's twin classes are also those of its TI.
+    """
+    b = keys.size
+    rows = _rows(keys, n)
+    lower, weight = _twins(rows, n)
+    if ti is None:
+        src_rows, group = rows, np.arange(b)
+    else:
+        src_rows = np.stack([rows, _rows(ti, n)], axis=1).reshape(2 * b, n)
+        group = np.repeat(np.arange(b), 2)
+    src = np.arange(group.size)
+    cells = np.full((group.size, n), (1 << n) - 1, dtype=np.uint8)
+    # rank of each position in its cell, counted from the cell's bottom
+    rank = np.broadcast_to(np.arange(n, dtype=np.uint8), cells.shape)
+    bit = np.left_shift(np.uint8(1), np.arange(n, dtype=np.uint8))
+    firsts = np.arange(b)
+    canon = np.zeros(b, dtype=np.uint64)
+    for p in range(n - 1, -1, -1):
+        cell = cells[:, p, None]
+        par, i = np.nonzero(((cell & bit) != 0) & ((cell & lower[group]) == 0))
+        row = src_rows[src[par], i][:, None]
+        rest = cells[par] & ~bit[i][:, None]
+        ones = rest & row
+        count = _POPCOUNT8[ones]
+        prank = rank[par]
+        # the ones of a cell take its lowest positions; a fixed position is
+        # a singleton of rank 0, so it shows its own bit of the row
+        low = prank < count
+        low[:, p] = (row[:, 0] & bit[i]) != 0
+        value = np.packbits(low, axis=1, bitorder="little")[:, 0]
+        # every key keeps a branch and every branch has a child, so the
+        # children's groups run through 0..b-1 in order
+        cgroup = group[par]
+        best = np.minimum.reduceat(value, np.searchsorted(cgroup, firsts))
+        canon |= best.astype(np.uint64) << np.uint64(p * n)
+        keep = np.flatnonzero(value == best[cgroup])
+        low, ones, count, prank = low[keep], ones[keep], count[keep], prank[keep]
+        cells = np.where(low, ones, rest[keep] ^ ones)
+        rank = np.where(low, prank, prank - count)
+        cells[:, p] = bit[i[keep]]
+        rank[:, p] = 0
+        group, src = cgroup[keep], src[par[keep]]
+    return canon, np.bincount(group, minlength=b).astype(np.uint64) * weight
 
 
 def _canonicalize_chunk(keys: np.ndarray, n: int, spec: IsometrySpec,
-                        t: _PermTables, ti: np.ndarray | None
-                        ) -> tuple[np.ndarray, np.ndarray]:
+                        ti: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     if not spec.uses_ti:
         ti = None
     elif ti is None:
         ti = transpose_inverse_keys(keys, n)
-    if t.wf is not None:
-        best, stab = _min_stab_small(keys, keys, t)
-        if ti is not None:
-            b2, s2 = _min_stab_small(ti, keys, t)
-            best = np.minimum(best, b2)
-            stab = stab + s2
-        canon = best.astype(np.int64).view(np.uint64)
+    if n <= _MATMUL_MAX_ORDER:
+        canon, stab = _min_stab_matmul(keys, ti, _tables(n))
     else:
-        mhi, mlo, stab = _min_stab_big(keys, keys, t)
-        if ti is not None:
-            h2, l2, s2 = _min_stab_big(ti, keys, t)
-            mhi, mlo = _lex_merge(mhi, mlo, h2, l2)
-            stab = stab + s2
-        # plane values are < 2^32, so int64 conversion is exact; shift as
-        # uint64 to keep the top bit well-defined
-        canon = mlo.astype(np.int64).view(np.uint64) | \
-            (mhi.astype(np.int64).view(np.uint64) << _U32)
+        canon, stab = _min_stab_search(keys, ti, n)
     order = spec.group_order(n)
     if np.any(order % stab):
         raise ConsistencyError("stabilizer count does not divide the group order")
@@ -230,13 +324,13 @@ def canonicalize_batch(keys: np.ndarray, n: int, spec: IsometrySpec,
         ti = np.ascontiguousarray(ti, dtype=np.uint64)
         if ti.shape != keys.shape:
             raise ValueError(f"ti has shape {ti.shape}, keys {keys.shape}")
-    t = _tables(n)
-    chunks = [(keys[s:s + t.chunk], None if ti is None else ti[s:s + t.chunk])
-              for s in range(0, keys.size, t.chunk)]
+    size = _tables(n).chunk if n <= _MATMUL_MAX_ORDER else _SEARCH_CHUNK
+    chunks = [(keys[s:s + size], None if ti is None else ti[s:s + size])
+              for s in range(0, keys.size, size)]
     if executor is None or len(chunks) == 1:
-        parts = [_canonicalize_chunk(k, n, spec, t, kti) for k, kti in chunks]
+        parts = [_canonicalize_chunk(k, n, spec, kti) for k, kti in chunks]
     else:
-        futs = [executor.submit(_canonicalize_chunk, k, n, spec, t, kti)
+        futs = [executor.submit(_canonicalize_chunk, k, n, spec, kti)
                 for k, kti in chunks]
         parts = [f.result() for f in futs]
     canon = np.concatenate([p[0] for p in parts])

@@ -2,6 +2,7 @@
 plus synthesis, bidirectional probing, limits and determinism."""
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -138,16 +139,39 @@ def test_full_isometry_reduction(explored):
             assert len(dists) in (1, 2) and len(set(dists)) == 1
 
 
-def test_multithreaded_run_is_identical(explored):
-    base = explored(4)
-    threaded = isometry_bfs(4, limits=SearchLimits(threads=8))
-    assert np.array_equal(base.keys, threaded.keys)
-    assert np.array_equal(base.dists, threaded.dists)
-    assert np.array_equal(base.orbit_sizes, threaded.orbit_sizes)
-    assert base.sphere_sizes == threaded.sphere_sizes
-    assert base.orbit_counts == threaded.orbit_counts
+def assert_same_exploration(base, other):
+    assert np.array_equal(base.keys, other.keys)
+    assert np.array_equal(base.dists, other.dists)
+    assert np.array_equal(base.orbit_sizes, other.orbit_sizes)
+    assert base.sphere_sizes == other.sphere_sizes
+    assert base.orbit_counts == other.orbit_counts
     assert (base.complete, base.last_level_complete) == \
-        (threaded.complete, threaded.last_level_complete)
+        (other.complete, other.last_level_complete)
+
+
+def test_multithreaded_run_is_identical(explored):
+    assert_same_exploration(explored(4),
+                            isometry_bfs(4, limits=SearchLimits(threads=8)))
+
+
+@pytest.mark.parametrize("n, spec, depth", [
+    (5, "sym-ti", None),    # matmul chunks of 65,536 keys
+    (8, "sym", 4),          # level 4 spans two search chunks of 1,024 keys
+])
+def test_threaded_run_uses_the_pool(explored, monkeypatch, n, spec, depth):
+    spec = IsometrySpec(spec)
+    base = explored(n, spec, depth)
+    submitted = []
+    submit = ThreadPoolExecutor.submit
+
+    def counting(self, fn, *args, **kwargs):
+        submitted.append(fn)
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counting)
+    threaded = isometry_bfs(n, spec, SearchLimits(max_depth=depth, threads=2))
+    assert len(submitted) >= 2
+    assert_same_exploration(base, threaded)
 
 
 def test_max_depth_cap(explored):

@@ -3,12 +3,13 @@
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from cnotcayley import gf2
+from cnotcayley import gf2, isometry
 from cnotcayley.gf2 import (
     BitMatrix,
     Permutation,
@@ -16,6 +17,9 @@ from cnotcayley.gf2 import (
     all_transvections,
     apply_transvection,
     identity,
+    multiply,
+    parse_perm,
+    perm_matrix,
     random_invertible,
     transpose_inverse,
     transvection_matrix,
@@ -24,6 +28,9 @@ from cnotcayley.bfs import _successors
 from cnotcayley.errors import SingularError
 from cnotcayley.isometry import (
     IsometrySpec,
+    _min_stab_matmul,
+    _min_stab_search,
+    _tables,
     act,
     canonicalize,
     canonicalize_batch,
@@ -235,8 +242,8 @@ def test_fast_path_matches_reference_oracle():
 
 
 def test_fast_path_matches_oracle_large_orders():
-    # n=8 exercises the split-plane kernel; the oracle costs ~1 s per
-    # matrix there, so samples are few
+    # n=8 exercises the lex-leader search; the oracle costs ~0.2 s per
+    # random matrix there (twice that under sym-ti), so samples are few
     rng = random.Random(10)
     for n, spec, count in ((7, SYM, 4), (8, SYM, 3), (8, SYM_TI, 2)):
         for _ in range(count):
@@ -337,6 +344,73 @@ def test_batch_with_given_ti_matches_default(threads):
             given = canonicalize_batch(keys, n, SYM_TI, executor, ti=ti)
         assert np.array_equal(default[0], given[0])
         assert np.array_equal(default[1], given[1])
+
+
+# ---------------------------------------------------------------------------
+# the lex-leader search that serves order 8
+# ---------------------------------------------------------------------------
+
+
+def assert_search_matches_matmul(keys, n):
+    for spec in (SYM, SYM_TI):
+        ti = transpose_inverse_keys(keys, n) if spec.uses_ti else None
+        canon, stab = _min_stab_search(keys, ti, n)
+        ref_canon, ref_stab = _min_stab_matmul(keys, ti, _tables(n))
+        assert np.array_equal(canon, ref_canon)
+        assert np.array_equal(stab, ref_stab)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_search_matches_matmul_on_random_keys(n):
+    assert_search_matches_matmul(random_keys(n, 10_000, 80 + n), n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_search_matches_matmul_on_shallow_balls(explored, n):
+    # near the identity live the twins and the large stabilizers
+    for spec in (SYM, SYM_TI):
+        ball = explored(n, spec, 3).keys
+        assert_search_matches_matmul(np.concatenate([ball, _successors(ball, n)]), n)
+
+
+def order8_structured_matrices():
+    t = {(i, j): transvection_matrix(Transvection(i, j), 8)
+         for i, j in ((1, 2), (3, 4), (5, 6), (7, 8))}
+    return {
+        "identity": identity(8),
+        "one transvection": t[1, 2],
+        "two disjoint transvections": multiply(t[1, 2], t[3, 4]),
+        "8-cycle": perm_matrix(parse_perm("(1 2 3 4 5 6 7 8)", 8)),
+        # blocks [[1, 1], [0, 1]] are not twins; their automorphisms
+        # permute the blocks
+        "four equal 2x2 blocks": multiply(multiply(t[1, 2], t[3, 4]),
+                                          multiply(t[5, 6], t[7, 8])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(order8_structured_matrices()))
+def test_search_matches_oracle_on_structured_order8(name):
+    m = order8_structured_matrices()[name]
+    for spec in (SYM, SYM_TI):
+        assert canonicalize(m, spec) == canonicalize_reference(m, spec)
+
+
+def test_order8_builds_no_permutation_table(monkeypatch):
+    built = []
+
+    class Recording(isometry._PermTables):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(isometry, "_PermTables", Recording)
+    monkeypatch.setattr(isometry, "_tables",
+                        lru_cache(maxsize=None)(lambda n: isometry._PermTables(n)))
+    canonicalize(identity(8), SYM_TI)
+    canonicalize_batch(_successors(random_keys(8, 30, 90), 8), 8, SYM)
+    assert built == []
+    canonicalize(identity(7), SYM)
+    assert built == [7]
 
 
 def test_batch_rejects_misaligned_ti():

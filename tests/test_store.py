@@ -28,11 +28,27 @@ FROZEN_SHA256 = {
 }
 
 
+# SHA-256 of saved order-8 balls (spec, depth), frozen from the kernel
+# that enumerated all 8! images of every key.
+FROZEN_SHA256_ORDER8 = {
+    ("sym", 4): "2a048f595b98ac48085fb1f68d78f96801b5b41aa5ef7b90e25d52759ebf9325",
+    ("sym-ti", 3): "12de52058b395c8a36776f7a2bfabe76a8c6a192c70259d58f8b39bbc1edff98",
+}
+
+
 @pytest.mark.parametrize("n, spec", sorted(FROZEN_SHA256))
 def test_saved_databases_frozen(explored, tmp_path, n, spec):
     path = tmp_path / "g.db"
     store.save(explored(n, IsometrySpec(spec)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FROZEN_SHA256[n, spec]
+
+
+@pytest.mark.parametrize("spec, depth", sorted(FROZEN_SHA256_ORDER8))
+def test_saved_order8_balls_frozen(explored, tmp_path, spec, depth):
+    path = tmp_path / "g.db"
+    store.save(explored(8, IsometrySpec(spec), depth), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        FROZEN_SHA256_ORDER8[spec, depth]
 
 
 def test_round_trip_field_by_field(explored, tmp_path):
