@@ -66,15 +66,19 @@ class PolyCoeffs:
 
 
 def essential_counts_batch(keys: np.ndarray, n: int) -> np.ndarray:
-    """Number of essential indices of each packed matrix."""
-    if keys.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    pos = np.arange(n * n, dtype=np.uint64)
-    bits = ((keys[:, None] >> pos[None, :]) & np.uint64(1)).astype(bool)
-    bits = bits.reshape(-1, n, n)
-    off = bits & ~np.eye(n, dtype=bool)
-    ess = off.any(axis=2) | off.any(axis=1)
-    return ess.sum(axis=1).astype(np.int64)
+    """Number of essential indices of each packed matrix.
+
+    Works on the packed rows: with off_i the off-diagonal part of row i,
+    index i is essential when off_i != 0 (its row) or bit i is set in
+    the OR of all off_k (its column, since off_i itself lacks bit i).
+    """
+    rows_hit = np.zeros(keys.size, dtype=np.uint64)
+    cols_hit = np.zeros(keys.size, dtype=np.uint64)
+    for i in range(n):
+        off = (keys >> np.uint64(i * n)) & np.uint64(((1 << n) - 1) & ~(1 << i))
+        cols_hit |= off
+        rows_hit |= (off != 0).astype(np.uint64) << np.uint64(i)
+    return np.bitwise_count(rows_hit | cols_hit).astype(np.int64)
 
 
 def classify(res: ExplorationResult) -> EssentialClassTable:

@@ -155,10 +155,12 @@ def test_multithreaded_run_is_identical(explored):
 
 
 @pytest.mark.parametrize("n, spec, depth", [
-    (5, "sym-ti", None),    # matmul chunks of 65,536 keys
-    (8, "sym", 4),          # level 4 spans two search chunks of 1,024 keys
+    (5, "sym-ti", None),
+    (8, "sym", 4),
 ])
 def test_threaded_run_uses_the_pool(explored, monkeypatch, n, spec, depth):
+    # the pool gets one task per chunk, and only from batches that span
+    # at least two chunks, so two submissions show that one did
     spec = IsometrySpec(spec)
     base = explored(n, spec, depth)
     submitted = []
@@ -303,7 +305,7 @@ def test_bidir_asymmetric_split(explored):
 @pytest.mark.parametrize("n, fwd, bwd, expected", [
     (4, 5, 4, BidirOutcome(9, True)),
     (4, 2, 2, BidirOutcome(5, False)),
-    # backward level 5 holds 117,860 elements, two canonicalization
+    # backward level 5 holds 117,860 elements, many canonicalization
     # chunks, so the workers really split it
     (5, 7, 5, BidirOutcome(12, True)),
 ])

@@ -98,12 +98,20 @@ def test_classify_without_stored_orbit_sizes(explored):
 def test_essential_counts_batch_matches_scalar():
     import numpy as np
     rng = random.Random(1)
-    for n in (2, 5, 8):
+    for n in range(1, 9):
         mats = [random_invertible(n, rng) for _ in range(50)]
+        mats += [gf2.identity(n), gf2.BitMatrix(n, (1 << (n * n)) - 1),
+                 gf2.BitMatrix(n, rng.getrandbits(n * n))]
+        if n == 8:
+            # the last entry of the last row is bit 63 of the packed word
+            mats += [gf2.BitMatrix(8, (1 << 63) | gf2.identity(8).bits),
+                     gf2.BitMatrix(8, 1 << 63),
+                     gf2.BitMatrix(8, (1 << 63) | rng.getrandbits(63))]
         keys = np.array([m.bits for m in mats], dtype=np.uint64)
         counts = essential_counts_batch(keys, n)
-        for m, c in zip(mats, counts):
-            assert len(essential_indices(m)) == int(c)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [len(essential_indices(m)) for m in mats]
+        assert essential_counts_batch(keys[:0], n).size == 0
 
 
 # ---------------------------------------------------------------------------

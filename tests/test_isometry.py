@@ -2,9 +2,10 @@
 
 import math
 import random
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -334,9 +335,11 @@ def test_swapped_successors_of_ti_are_ti_of_successors(n):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_batch_with_given_ti_matches_default(threads):
-    # at n=7 the keys span two chunks, so the executor path slices ti
     for n, count in ((3, 100), (5, 300), (7, 60)):
         keys = _successors(random_keys(n, count, 60 + n), n)
+        if n == 7:
+            # the executor path slices ti only when the batch spans chunks
+            assert keys.size > _tables(n).chunk
         ti = transpose_inverse_keys(keys, n)
         with ThreadPoolExecutor(threads) as ex:
             executor = ex if threads > 1 else None
@@ -344,6 +347,45 @@ def test_batch_with_given_ti_matches_default(threads):
             given = canonicalize_batch(keys, n, SYM_TI, executor, ti=ti)
         assert np.array_equal(default[0], given[0])
         assert np.array_equal(default[1], given[1])
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_results_do_not_depend_on_chunk_size(monkeypatch, n):
+    # chunks of 1 and 7 keys fill the outputs slice by slice; a chunk
+    # larger than the batch returns the single chunk's arrays
+    keys = np.append(_successors(random_keys(n, 3, 100 + n), n), identity(n).bits)
+    given_ti = transpose_inverse_keys(keys, n)
+    expected = {}
+    for spec in (SYM, SYM_TI):
+        infos = [canonicalize(BitMatrix(n, int(k)), spec) for k in keys]
+        expected[spec] = ([i.key.bits for i in infos], [i.orbit_size for i in infos])
+    for size in (keys.size + 1, 1, 7):
+        if n <= isometry._MATMUL_MAX_ORDER:
+            monkeypatch.setattr(_tables(n), "chunk", size)
+        else:
+            monkeypatch.setattr(isometry, "_SEARCH_CHUNK", size)
+        for spec, threads, ti in product((SYM, SYM_TI), (1, 2), (None, given_ti)):
+            with ThreadPoolExecutor(threads) as ex:
+                canon, sizes = canonicalize_batch(keys, n, spec,
+                                                  ex if threads > 1 else None, ti=ti)
+            assert canon.dtype == sizes.dtype == np.uint64
+            assert (canon.tolist(), sizes.tolist()) == expected[spec]
+
+
+@pytest.mark.parametrize("spec", [SYM, SYM_TI])
+def test_batch_memory_stays_chunk_sized(spec):
+    # 102,000 successors at n=6: the peak is the two outputs plus one
+    # chunk's working set, not an image plane for the whole batch
+    keys = _successors(random_keys(6, 3400, 130), 6)
+    ti = transpose_inverse_keys(keys, 6) if spec.uses_ti else None
+    canonicalize_batch(keys[:10], 6, spec)     # tables built outside the trace
+    tracemalloc.start()
+    try:
+        canon, sizes = canonicalize_batch(keys, 6, spec, ti=ti)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - (canon.nbytes + sizes.nbytes) < 6 << 20
 
 
 # ---------------------------------------------------------------------------
