@@ -30,7 +30,7 @@ from __future__ import annotations
 import resource
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -68,11 +68,11 @@ class SearchLimits:
 class ExplorationResult:
     """Distances of all stored orbit keys plus exact sphere sizes.
 
-    ``keys`` is sorted ascending; ``dists`` and ``orbit_sizes`` align
-    with it (``orbit_sizes`` is None for results loaded from disk and is
-    recomputable).  ``sphere_sizes[d]`` counts group elements at
-    distance d; entries are exact except possibly the last one when
-    ``last_level_complete`` is False.
+    ``keys`` is sorted ascending and ``dists`` aligns with it.  Orbit
+    sizes are not kept: each follows from its canonical key, and
+    ``essential.classify`` recomputes them.  ``sphere_sizes[d]`` counts
+    group elements at distance d; entries are exact except possibly the
+    last one when ``last_level_complete`` is False.
     """
 
     n: int
@@ -81,9 +81,12 @@ class ExplorationResult:
     dists: np.ndarray
     sphere_sizes: list[int]
     orbit_counts: list[int]
-    complete: bool
     last_level_complete: bool
-    orbit_sizes: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def complete(self) -> bool:
+        """Whether the whole group was counted."""
+        return self.total_elements() == gl_order(self.n)
 
     @property
     def max_depth(self) -> int:
@@ -166,48 +169,42 @@ def isometry_bfs(n: int, spec: IsometrySpec = IsometrySpec.SYM,
         raise OrderError(f"order must be in 1..{gf2.MAX_ORDER}, got {n}")
     limits = limits or SearchLimits()
     level_keys: list[np.ndarray] = []
-    level_sizes: list[np.ndarray] = []
     sphere_sizes: list[int] = []
     orbit_counts: list[int] = []
     with _pool(limits.threads) as executor:
-        for keys, sizes, whole in _levels(n, spec, gf2.identity(n).bits,
-                                          limits, executor):
+        for keys, elements, whole in _levels(n, spec, gf2.identity(n).bits,
+                                             limits, executor):
             level_keys.append(keys)
-            level_sizes.append(sizes)
-            # orbit sizes <= 2*8! and |GL(8,2)| < 2^63, so uint64 is exact
-            sphere_sizes.append(int(sizes.sum(dtype=np.uint64)))
+            sphere_sizes.append(elements)
             orbit_counts.append(int(keys.size))
             if log is not None and len(level_keys) > 1:
                 print(f"level {len(level_keys) - 1}: orbits={orbit_counts[-1]} "
                       f"elements={sphere_sizes[-1]} stored={sum(orbit_counts)} "
                       f"peak_rss={_peak_rss_mb():.1f}MB", file=log, flush=True)
-    # the graph is connected, so having counted every element means
-    # every level is exact, even after a budget stop
-    complete = sum(sphere_sizes) == gl_order(n)
     keys = np.concatenate(level_keys)
     dists = np.concatenate([np.full(k.size, d, dtype=np.uint8)
                             for d, k in enumerate(level_keys)])
-    osizes = np.concatenate(level_sizes)
     order = np.argsort(keys)
-    return ExplorationResult(
-        n=n, spec=spec,
-        keys=keys[order], dists=dists[order],
-        sphere_sizes=sphere_sizes, orbit_counts=orbit_counts,
-        complete=complete, last_level_complete=whole or complete,
-        orbit_sizes=osizes[order],
-    )
+    res = ExplorationResult(n=n, spec=spec, keys=keys[order], dists=dists[order],
+                            sphere_sizes=sphere_sizes, orbit_counts=orbit_counts,
+                            last_level_complete=whole)
+    # the graph is connected, so having counted every element means
+    # every level is exact, even after a budget stop
+    res.last_level_complete = whole or res.complete
+    return res
 
 
 def _levels(n: int, spec: IsometrySpec | None, start: int,
             limits: SearchLimits, executor):
-    """BFS levels from the key ``start``, as (sorted keys, orbit sizes,
+    """BFS levels from the key ``start``, as (sorted keys, elements,
     whole) triples, level 0 first.
 
-    Under a spec each key is a canonical orbit representative; ``start``
-    must then be fixed by the whole group (the identity is), so its
-    orbit size is 1.  ``spec=None`` explores unreduced: every key is its
-    own orbit and the sizes are None.  ``whole`` is False only on a last
-    level cut short by ``limits.max_orbits``.
+    Under a spec each key is a canonical orbit representative and
+    ``elements`` is the exact number of group elements in the level;
+    ``start`` must then be fixed by the whole group (the identity is),
+    so its orbit size is 1.  ``spec=None`` explores unreduced: every key
+    is its own orbit and ``elements`` is the key count.  ``whole`` is
+    False only on a last level cut short by ``limits.max_orbits``.
 
     Only the two newest levels stay referenced here while a level is
     handed out: a suspended generator keeps its locals alive, so the
@@ -215,30 +212,30 @@ def _levels(n: int, spec: IsometrySpec | None, start: int,
     """
     prev = np.empty(0, dtype=np.uint64)
     curr = np.array([start], dtype=np.uint64)
-    yield curr, (None if spec is None else np.ones(1, dtype=np.uint64)), True
+    yield curr, 1, True
     stored = 1
     depth = 0
     while limits.max_depth is None or depth < limits.max_depth:
         budget = None if limits.max_orbits is None else limits.max_orbits - stored
-        nxt, sizes, whole = _next_level(n, spec, prev, curr, executor, budget)
+        nxt, elements, whole = _next_level(n, spec, prev, curr, executor, budget)
         if nxt.size == 0:
             return
         stored += nxt.size
         depth += 1
         prev, curr = curr, nxt
-        yield curr, sizes, whole
+        yield curr, elements, whole
         if not whole:
             return
 
 
 def _next_level(n, spec, prev, curr, executor, budget):
-    """The level after ``curr``: sorted keys, aligned orbit sizes (None
-    when unreduced), and whether it is whole.  Expansion stops after the
-    block that takes the number of new keys past ``budget``."""
+    """The level after ``curr``: sorted keys, their element count, and
+    whether the level is whole.  Expansion stops after the block that
+    takes the number of new keys past ``budget``."""
     # cap the per-block successor array at ~2^20 entries
     block_rows = max(1, (1 << 20) // max(1, n * (n - 1)))
     nxt = np.empty(0, dtype=np.uint64)
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    elements = 0
     whole = True
     for s in range(0, curr.size, block_rows):
         new, sizes = _expand(curr[s:s + block_rows], n, spec, executor)
@@ -249,17 +246,14 @@ def _next_level(n, spec, prev, curr, executor, budget):
         if new.size == 0:
             continue
         nxt = np.sort(np.concatenate([nxt, new]))
-        if sizes is not None:
-            parts.append((new, sizes[keep]))
+        # kept keys are new to nxt, so no orbit is counted twice; orbit
+        # sizes <= 2*8! and |GL(8,2)| < 2^63, so uint64 is exact
+        elements += (new.size if sizes is None
+                     else int(sizes[keep].sum(dtype=np.uint64)))
         if budget is not None and nxt.size > budget:
             whole = False
             break
-    if spec is None:
-        return nxt, None, whole
-    nxt_sizes = np.empty(nxt.size, dtype=np.uint64)
-    for new, sizes in parts:
-        nxt_sizes[np.searchsorted(nxt, new)] = sizes
-    return nxt, nxt_sizes, whole
+    return nxt, elements, whole
 
 
 def _expand(block: np.ndarray, n: int, spec: IsometrySpec | None, executor):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import HorizonError, OrderError
+from .errors import FormatError, HorizonError, OrderError
 
 
 def gl_order(n: int) -> int:
@@ -67,7 +67,10 @@ class SphereProfile:
             if not c.valid_at(n):
                 raise OrderError(
                     f"f_{d} only certifies sphere sizes for n >= {2*d}, got {n}")
-            sizes.append(eval_poly(c, n))
+            value = eval_poly(c, n)
+            if value < 1:
+                raise FormatError(f"f_{d}({n}) = {value} is not a sphere size")
+            sizes.append(value)
             prov.append(c.source)
         return cls(n, tuple(sizes), tuple(prov))
 

@@ -16,13 +16,7 @@ import sys
 
 from . import bounds, essential, gf2, permcheck, store
 from .bfs import SearchLimits, bidirectional_distance, isometry_bfs, synthesize
-from .errors import (
-    CnotCayleyError,
-    ConsistencyError,
-    DatabaseError,
-    FormatError,
-    HorizonError,
-)
+from .errors import CnotCayleyError, ConsistencyError, HorizonError
 from .isometry import IsometrySpec
 
 EXIT_OK = 0
@@ -44,6 +38,20 @@ def _spec_of(value: str) -> IsometrySpec:
     return IsometrySpec(value)
 
 
+def _int_at_least(low: int):
+    """An argparse ``type`` for integers >= ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
+_positive = _int_at_least(1)
+_non_negative = _int_at_least(0)
+
+
 def _add_common(p, db=False, matrix=False, threads=False, isometry=False,
                 coeffs=False):
     if db:
@@ -52,7 +60,7 @@ def _add_common(p, db=False, matrix=False, threads=False, isometry=False,
         p.add_argument("--matrix", required=True,
                        help="rows of 0/1 joined by commas, e.g. 111,010,011")
     if threads:
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_positive, default=1)
     if isometry:
         p.add_argument("--isometry", choices=["sym", "sym-ti"], default="sym")
     if coeffs:
@@ -68,8 +76,8 @@ def build_parser() -> _Parser:
 
     q = sub.add_parser("explore", help="run the reduced BFS and print the sphere table")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--max-depth", type=int, default=None)
-    q.add_argument("--max-orbits", type=int, default=None)
+    q.add_argument("--max-depth", type=_positive, default=None)
+    q.add_argument("--max-orbits", type=_positive, default=None)
     q.add_argument("--out", default=None, help="write a distance database here")
     _add_common(q, threads=True, isometry=True)
 
@@ -88,23 +96,23 @@ def build_parser() -> _Parser:
     _add_common(q, db=True)
 
     q = sub.add_parser("poly-extract", help="sphere-polynomial coefficients from GL(2d,2)")
-    q.add_argument("--d", type=int, required=True)
+    q.add_argument("--d", type=_positive, required=True)
     q.add_argument("--db", default=None,
                    help="existing exploration of GL(2d,2); explored on the fly if absent")
     _add_common(q, threads=True, isometry=True)
 
     q = sub.add_parser("poly-eval", help="evaluate a sphere polynomial")
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--d", type=_positive, required=True)
+    q.add_argument("--n", type=_non_negative, required=True)
     _add_common(q, coeffs=True)
 
     q = sub.add_parser("diam-bound", help="diameter lower bound from sphere sizes")
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_positive, required=True)
     q.add_argument("--n", type=int, required=True)
     _add_common(q, coeffs=True)
 
     q = sub.add_parser("n0-search", help="smallest n with bound above 3(n-1)")
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_positive, required=True)
     q.add_argument("--n-min", type=int, default=None)
     q.add_argument("--n-max", type=int, required=True)
     _add_common(q, coeffs=True)
@@ -113,8 +121,8 @@ def build_parser() -> _Parser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--matrix", default=None)
     q.add_argument("--perm", default=None, help='cycle notation, e.g. "(1 2 3)(4 5)"')
-    q.add_argument("--fwd", type=int, required=True)
-    q.add_argument("--bwd", type=int, required=True)
+    q.add_argument("--fwd", type=_positive, required=True)
+    q.add_argument("--bwd", type=_positive, required=True)
     _add_common(q, threads=True, isometry=True)
 
     q = sub.add_parser("db-info", help="header and sphere table of a database")
@@ -287,20 +295,14 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, DatabaseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except HorizonError as exc:
         print(f"incomplete: {exc}", file=sys.stderr)
         return EXIT_TRUNCATED
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except CnotCayleyError as exc:
+    except (CnotCayleyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

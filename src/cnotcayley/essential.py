@@ -85,19 +85,15 @@ def classify(res: ExplorationResult) -> EssentialClassTable:
     """Tally orbit sizes into (distance, essential-count) cells.
 
     Only levels with exact sphere sizes are classified.  Orbit sizes are
-    taken from the exploration when present, else recomputed from the
-    stored canonical keys.
+    recomputed from the stored keys, which must be canonical.
     """
     d_max = res.max_exact_depth
     mask = res.dists <= d_max
     keys = res.keys[mask]
     dists = res.dists[mask]
-    if res.orbit_sizes is not None:
-        sizes = res.orbit_sizes[mask]
-    else:
-        canon, sizes = canonicalize_batch(keys, res.n, res.spec)
-        if not np.array_equal(canon, keys):
-            raise ConsistencyError("stored keys are not canonical")
+    canon, sizes = canonicalize_batch(keys, res.n, res.spec)
+    if not np.array_equal(canon, keys):
+        raise ConsistencyError("stored keys are not canonical")
     counts = essential_counts_batch(keys, res.n)
     cells: dict[tuple[int, int], int] = {}
     for d in range(d_max + 1):
@@ -210,7 +206,10 @@ def load_coeffs(path=None) -> dict[int, PolyCoeffs]:
         source = "published"
     else:
         with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"coefficient file is not ASCII: {exc}") from exc
         source = "file"
     out: dict[int, PolyCoeffs] = {}
     for line in text.splitlines():

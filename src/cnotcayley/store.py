@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import os
 import struct
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import gf2
 from .bfs import ExplorationResult
+from .bounds import gl_order
 from .errors import DatabaseError, HorizonError
 from .gf2 import BitMatrix
 from .isometry import IsometrySpec, canonicalize
@@ -37,25 +37,24 @@ def save(res: ExplorationResult, path) -> None:
         raise ValueError("result keys do not match its orbit counts; nothing to persist")
     levels = len(res.sphere_sizes)
     max_complete = res.max_exact_depth
-    blob = bytearray()
-    blob += _HEADER.pack(MAGIC, VERSION, res.n, _SPEC_TAGS[res.spec],
-                         int(res.complete), int(res.last_level_complete),
-                         max_complete, levels, res.keys.size)
+    head = bytearray(_HEADER.pack(MAGIC, VERSION, res.n, _SPEC_TAGS[res.spec],
+                                  int(res.complete), int(res.last_level_complete),
+                                  max_complete, levels, res.keys.size))
     for d in range(levels):
         digits = str(res.sphere_sizes[d]).encode("ascii")
-        blob += _LEVEL_HEAD.pack(res.orbit_counts[d], len(digits))
-        blob += digits
+        head += _LEVEL_HEAD.pack(res.orbit_counts[d], len(digits))
+        head += digits
     entries = np.empty(res.keys.size, dtype=_ENTRY_DTYPE)
     entries["key"] = res.keys
     entries["dist"] = res.dists
-    blob += entries.tobytes()
-    Path(path).write_bytes(bytes(blob))
+    with open(path, "wb") as fh:
+        fh.write(head)
+        entries.tofile(fh)
 
 
 class _Layout(NamedTuple):
     n: int
     spec: IsometrySpec
-    complete: bool
     last_complete: bool
     orbit_counts: list[int]
     sphere_sizes: list[int]
@@ -100,13 +99,15 @@ def _read_layout(fh) -> _Layout:
         raise DatabaseError("orbit counts do not match the entry count")
     if int(max_complete) != levels - 1 - (0 if last_complete else 1):
         raise DatabaseError("inconsistent depth fields")
-    return _Layout(n, _TAG_SPECS[spec_tag], bool(complete), bool(last_complete),
+    if complete != (sum(sphere_sizes) == gl_order(n)):
+        raise DatabaseError(f"complete flag {complete} disagrees with the sphere table")
+    return _Layout(n, _TAG_SPECS[spec_tag], bool(last_complete),
                    orbit_counts, sphere_sizes, entry_count, offset)
 
 
 def load(path) -> ExplorationResult:
-    """Read a database back into an ExplorationResult (orbit sizes are
-    not persisted and come back as None; they are recomputable)."""
+    """Read a database back into an ExplorationResult after checking
+    the entries against the sphere table."""
     with open(path, "rb") as fh:
         lay = _read_layout(fh)
         entries = np.frombuffer(fh.read(), dtype=_ENTRY_DTYPE)
@@ -126,8 +127,7 @@ def load(path) -> ExplorationResult:
     return ExplorationResult(
         n=lay.n, spec=lay.spec, keys=keys, dists=dists,
         sphere_sizes=lay.sphere_sizes, orbit_counts=lay.orbit_counts,
-        complete=lay.complete, last_level_complete=lay.last_complete,
-        orbit_sizes=None,
+        last_level_complete=lay.last_complete,
     )
 
 

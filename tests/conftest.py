@@ -5,6 +5,9 @@ below is a deliberately naive dict-based BFS over the full group, kept
 free of the package's vectorised machinery so it can vouch for it.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from cnotcayley import gf2
@@ -23,6 +26,22 @@ def explored():
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def off_canonical(explored):
+    """The exploration of GL(3,2) with its distance-1 key replaced by
+    another member of the same orbit: sorted, in range and with the
+    same histogram, so only canonicality is wrong."""
+    res = explored(3)
+    idx = int(np.flatnonzero(res.dists == 1)[0])
+    key = gf2.BitMatrix(3, int(res.keys[idx]))
+    other = next(m for m in (gf2.conjugate_by_perm(gf2.parse_perm(c, 3), key)
+                             for c in ("(1 2)", "(1 3)", "(2 3)")) if m != key)
+    keys = res.keys.copy()
+    keys[idx] = other.bits
+    order = np.argsort(keys)
+    return dataclasses.replace(res, keys=keys[order], dists=res.dists[order])
 
 
 def oracle_distances(n):

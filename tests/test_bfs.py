@@ -20,7 +20,7 @@ from cnotcayley.bfs import (
 from cnotcayley.bounds import gl_order
 from cnotcayley.errors import HorizonError, OrderError
 from cnotcayley.gf2 import identity, invert, parse_matrix, parse_perm, perm_matrix, random_invertible
-from cnotcayley.isometry import IsometrySpec, canonicalize
+from cnotcayley.isometry import IsometrySpec, canonicalize, canonicalize_batch
 
 # element counts per distance, from the published level-size table
 SPHERES = {
@@ -61,16 +61,18 @@ def test_result_invariants(explored):
     res = explored(4)
     assert res.distance_of_key(identity(4).bits) == 0
     assert np.all(res.keys[1:] > res.keys[:-1])
-    # keys are canonical; orbit sizes recompute the sphere sizes
+    # keys are canonical; their orbit sizes recompute the sphere sizes
+    canon, sizes = canonicalize_batch(res.keys, res.n, res.spec)
+    assert np.array_equal(canon, res.keys)
     for d in range(res.max_depth + 1):
         at_d = res.dists == d
-        assert int(res.orbit_sizes[at_d].sum()) == res.sphere_sizes[d]
+        assert int(sizes[at_d].sum()) == res.sphere_sizes[d]
     sample = random.Random(0).sample(range(res.keys.size), 40)
     for idx in sample:
         m = gf2.BitMatrix(4, int(res.keys[idx]))
         info = canonicalize(m, res.spec)
         assert info.key == m
-        assert info.orbit_size == int(res.orbit_sizes[idx])
+        assert info.orbit_size == int(sizes[idx])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -85,9 +87,9 @@ def test_plain_bfs_levels_match_oracle(oracle_dist):
     for n in (3, 4):
         truth = oracle_dist(n)
         seen = 0
-        for d, (level, sizes, whole) in enumerate(
+        for d, (level, elements, whole) in enumerate(
                 _levels(n, None, identity(n).bits, SearchLimits(), None)):
-            assert sizes is None and whole
+            assert elements == level.size and whole
             assert np.all(level[1:] > level[:-1])
             for bits in level:
                 assert truth[int(bits)] == d
@@ -142,7 +144,6 @@ def test_full_isometry_reduction(explored):
 def assert_same_exploration(base, other):
     assert np.array_equal(base.keys, other.keys)
     assert np.array_equal(base.dists, other.dists)
-    assert np.array_equal(base.orbit_sizes, other.orbit_sizes)
     assert base.sphere_sizes == other.sphere_sizes
     assert base.orbit_counts == other.orbit_counts
     assert (base.complete, base.last_level_complete) == \
@@ -235,7 +236,6 @@ def test_max_orbits_budget_covering_the_group(explored):
         assert res.complete and res.last_level_complete
         assert res.sphere_sizes == full.sphere_sizes
         assert np.array_equal(res.keys, full.keys)
-        assert np.array_equal(res.orbit_sizes, full.orbit_sizes)
 
 
 # ---------------------------------------------------------------------------

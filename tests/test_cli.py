@@ -177,11 +177,69 @@ def test_usage_errors(capsys):
     assert invoke(capsys, "explore")[0] == 1              # missing --n
     assert invoke(capsys, "no-such-command")[0] == 1
     assert invoke(capsys, "bidir", "--n", "3", "--fwd", "1", "--bwd", "1")[0] == 1
-    assert invoke(capsys, "explore", "--n", "4", "--max-depth", "0")[0] == 1
-    assert invoke(capsys, "explore", "--n", "4", "--threads", "0")[0] == 1
     code, _, err = invoke(capsys, "dist", "--db", "/nonexistent.db",
                           "--matrix", "10,01")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("explore", "--n", "4", "--max-depth", "0"),
+    ("explore", "--n", "4", "--max-depth", "two"),
+    ("explore", "--n", "4", "--max-orbits", "-1"),
+    ("explore", "--n", "4", "--threads", "0"),
+    ("perm-check", "--n", "3", "--threads", "-2"),
+    ("bidir", "--n", "3", "--perm", "(1 2)", "--fwd", "0", "--bwd", "1"),
+    ("bidir", "--n", "3", "--perm", "(1 2)", "--fwd", "1", "--bwd", "0"),
+    ("poly-extract", "--d", "0"),
+    ("poly-eval", "--d", "0", "--n", "3"),
+    ("poly-eval", "--d", "1", "--n", "-1"),
+    ("diam-bound", "--k", "0", "--n", "20"),
+    ("n0-search", "--k", "-1", "--n-max", "40"),
+])
+def test_bad_numbers_are_usage_errors(capsys, argv):
+    code, _, err = invoke(capsys, *argv)
+    assert code == 1
+    assert "usage error: argument --" in err
+    assert "Traceback" not in err
+
+
+def test_unreadable_inputs_exit_1(capsys, g3_db, tmp_path):
+    # a directory where a file belongs, a coefficient file that is not
+    # text, and one whose polynomial gives no sphere size
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"1,0,\xff,0\n")
+    zero = tmp_path / "zero.csv"
+    zero.write_text("1,0,0,0\n")
+    for argv in (("dist", "--db", str(tmp_path), "--matrix", "10,01"),
+                 ("classify", "--db", str(tmp_path)),
+                 ("poly-eval", "--d", "1", "--n", "3", "--coeffs", str(tmp_path)),
+                 ("poly-eval", "--d", "1", "--n", "3", "--coeffs", str(binary)),
+                 ("diam-bound", "--k", "1", "--n", "20", "--coeffs", str(zero))):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ")
+
+
+def test_value_errors_inside_commands_propagate(monkeypatch):
+    # a ValueError from inside a command is a bug, not a usage error
+    from cnotcayley import essential
+
+    def broken(*args):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(essential, "extract_coeffs", broken)
+    with pytest.raises(ValueError, match="bug"):
+        run(["poly-extract", "--d", "1"])
+
+
+def test_classify_non_canonical_database(capsys, off_canonical, tmp_path):
+    from cnotcayley import store
+    path = tmp_path / "off.db"
+    store.save(off_canonical, path)
+    store.load(path)  # valid in every respect the loader checks
+    code, _, err = invoke(capsys, "classify", "--db", str(path))
+    assert code == 3
+    assert "not canonical" in err
 
 
 def test_bad_matrix_text(capsys, g3_db):

@@ -85,14 +85,9 @@ def test_cells_sum_to_spheres(explored):
             assert table.sphere_size(d) == res.sphere_sizes[d]
 
 
-def test_classify_without_stored_orbit_sizes(explored):
-    res = explored(4)
-    stripped = type(res)(
-        n=res.n, spec=res.spec, keys=res.keys, dists=res.dists,
-        sphere_sizes=res.sphere_sizes, orbit_counts=res.orbit_counts,
-        complete=res.complete, last_level_complete=res.last_level_complete,
-        orbit_sizes=None)
-    assert classify(stripped).cells == classify(res).cells
+def test_classify_rejects_non_canonical_keys(off_canonical):
+    with pytest.raises(ConsistencyError, match="not canonical"):
+        classify(off_canonical)
 
 
 def test_essential_counts_batch_matches_scalar():

@@ -64,7 +64,6 @@ def test_round_trip_field_by_field(explored, tmp_path):
     assert back.orbit_counts == res.orbit_counts
     assert back.complete == res.complete
     assert back.last_level_complete == res.last_level_complete
-    assert back.orbit_sizes is None
 
 
 def test_byte_identical_saves(explored, tmp_path):
@@ -145,6 +144,22 @@ def test_header_order_out_of_range(g3_blob, tmp_path):
             store.load(bad)
         with pytest.raises(DatabaseError, match="outside 1..8"):
             store.lookup(bad, identity(3))
+
+
+@pytest.mark.parametrize("depth", [None, 3])
+def test_complete_flag_checked(explored, tmp_path, depth):
+    # byte 12 is the complete flag; it must agree with the sphere table
+    path = tmp_path / "g3.db"
+    store.save(explored(3, max_depth=depth), path)
+    blob = bytearray(path.read_bytes())
+    assert blob[12] == (depth is None)
+    blob[12] ^= 1
+    bad = tmp_path / "bad.db"
+    bad.write_bytes(blob)
+    with pytest.raises(DatabaseError, match="complete flag"):
+        store.load(bad)
+    with pytest.raises(DatabaseError, match="complete flag"):
+        store.lookup(bad, identity(3))
 
 
 def test_key_wider_than_the_order(g3_blob, tmp_path):
