@@ -1,19 +1,17 @@
 """Level-synchronous breadth-first search of the transvection Cayley
-graph, with one level generator serving two modes.
+graph, reduced by isometry orbits.
 
-Reduced (``isometry_bfs``): from the identity, one canonical
-representative per isometry orbit is stored.  Every successor T*g of a
-frontier key is canonicalized; keys not seen in the previous, current
-or accruing next level are new, enter the next level, and contribute
-their full orbit size to the element count of sphere d+1 exactly once.
-Because the generators are involutions the graph is undirected and an
-edge can only stay within a level or connect adjacent levels, so
-checking three levels suffices and memory stays proportional to the
-number of stored orbits.
-
-Unreduced (the backward side of ``bidirectional_distance``): the same
-loop from an arbitrary start with no canonicalization, where every key
-is its own orbit.
+The search starts from the orbit of a key (the identity for
+``isometry_bfs``, the target for the backward side of
+``bidirectional_distance``) and stores one canonical representative
+per orbit; isometries are graph automorphisms, so each level is a union
+of orbits.  Every successor T*g of a frontier key is canonicalized;
+keys not seen in the previous, current or accruing next level are new,
+enter the next level, and contribute their full orbit size to the
+element count of sphere d+1 exactly once.  Because the generators are
+involutions the graph is undirected and an edge can only stay within a
+level or connect adjacent levels, so checking three levels suffices and
+memory stays proportional to the number of stored orbits.
 
 Early termination keeps every recorded distance exact: a depth cap
 stops *between* levels (everything recorded is complete), while an
@@ -194,25 +192,24 @@ def isometry_bfs(n: int, spec: IsometrySpec = IsometrySpec.SYM,
     return res
 
 
-def _levels(n: int, spec: IsometrySpec | None, start: int,
+def _levels(n: int, spec: IsometrySpec, start: int,
             limits: SearchLimits, executor):
-    """BFS levels from the key ``start``, as (sorted keys, elements,
-    whole) triples, level 0 first.
+    """BFS levels from the orbit of the key ``start``, as (sorted
+    canonical keys, elements, whole) triples, level 0 first.
 
-    Under a spec each key is a canonical orbit representative and
-    ``elements`` is the exact number of group elements in the level;
-    ``start`` must then be fixed by the whole group (the identity is),
-    so its orbit size is 1.  ``spec=None`` explores unreduced: every key
-    is its own orbit and ``elements`` is the key count.  ``whole`` is
-    False only on a last level cut short by ``limits.max_orbits``.
+    Level b holds the orbits at distance b from the orbit of ``start``,
+    and ``elements`` is the exact number of group elements in it, so
+    level 0 counts the orbit of ``start`` (1 for the identity).
+    ``whole`` is False only on a last level cut short by
+    ``limits.max_orbits``.
 
     Only the two newest levels stay referenced here while a level is
     handed out: a suspended generator keeps its locals alive, so the
     expansion's temporaries live and die in ``_next_level``.
     """
     prev = np.empty(0, dtype=np.uint64)
-    curr = np.array([start], dtype=np.uint64)
-    yield curr, 1, True
+    curr, sizes = canonicalize_batch(np.array([start], dtype=np.uint64), n, spec)
+    yield curr, int(sizes[0]), True
     stored = 1
     depth = 0
     while limits.max_depth is None or depth < limits.max_depth:
@@ -248,20 +245,17 @@ def _next_level(n, spec, prev, curr, executor, budget):
         nxt = np.sort(np.concatenate([nxt, new]))
         # kept keys are new to nxt, so no orbit is counted twice; orbit
         # sizes <= 2*8! and |GL(8,2)| < 2^63, so uint64 is exact
-        elements += (new.size if sizes is None
-                     else int(sizes[keep].sum(dtype=np.uint64)))
+        elements += int(sizes[keep].sum(dtype=np.uint64))
         if budget is not None and nxt.size > budget:
             whole = False
             break
     return nxt, elements, whole
 
 
-def _expand(block: np.ndarray, n: int, spec: IsometrySpec | None, executor):
-    """Distinct keys one step from ``block``, sorted, with their orbit
-    sizes (None when unreduced)."""
+def _expand(block: np.ndarray, n: int, spec: IsometrySpec, executor):
+    """Distinct canonical keys one step from ``block``, sorted, with
+    their orbit sizes."""
     succ = _successors(block, n)
-    if spec is None:
-        return np.unique(succ), None
     # one inversion per frontier key instead of one per successor
     ti = (_successors(isometry.transpose_inverse_keys(block, n), n, swap=True)
           if spec.uses_ti else None)
@@ -346,12 +340,15 @@ def bidirectional_distance(n: int, target: BitMatrix,
     """Meet-in-the-middle distance probe.
 
     A reduced forward ball of radius ``fwd_depth`` around the identity
-    is intersected with unreduced backward levels from ``target``.  The
-    first backward level b containing an element of the forward ball
-    yields the exact distance min(forward distance) + b; if the two
-    horizons never meet, distance >= fwd_depth + bwd_depth + 1 is
-    certified.  Distances are orbit-invariant, so looking up canonical
-    keys of backward elements is sound.
+    meets reduced backward levels from the orbit of ``target``; both
+    hold canonical keys under ``spec``.  Isometries fix the identity, so
+    the whole orbit lies at the target's distance D, and a member of
+    backward level b at forward distance a gives D <= a + b.  A shortest
+    path from the identity to the target has, for each j <= D, an
+    element exactly j from the orbit and D - j from the identity.  So if
+    D <= fwd_depth + bwd_depth, the first level to meet is
+    b = max(0, D - fwd_depth), and there min(a) + b = D.  If the
+    horizons never meet, D >= fwd_depth + bwd_depth + 1 is certified.
     """
     if target.n != n:
         raise DimensionError(f"target order {target.n} vs {n}")
@@ -360,10 +357,8 @@ def bidirectional_distance(n: int, target: BitMatrix,
                        log=log)
     with _pool(threads) as executor:
         for b, (level, _, _) in enumerate(_levels(
-                n, None, target.bits, SearchLimits(max_depth=bwd_depth), executor)):
-            canon, _ = canonicalize_batch(level, n, spec, executor)
-            canon = np.unique(canon)
-            met = canon[_in_sorted(canon, fwd.keys)]
+                n, spec, target.bits, SearchLimits(max_depth=bwd_depth), executor)):
+            met = level[_in_sorted(level, fwd.keys)]
             if met.size:
                 best = int(fwd.dists[np.searchsorted(fwd.keys, met)].min())
                 if log is not None:
@@ -371,6 +366,6 @@ def bidirectional_distance(n: int, target: BitMatrix,
                           file=log, flush=True)
                 return BidirOutcome(best + b, exact=True)
             if log is not None:
-                print(f"backward level {b}: {level.size} elements, no meet",
+                print(f"backward level {b}: {level.size} orbits, no meet",
                       file=log, flush=True)
     return BidirOutcome(fwd_depth + bwd_depth + 1, exact=False)

@@ -82,6 +82,12 @@ def ell(profile: SphereProfile) -> int:
     if k < 1:
         raise ValueError("the bound needs at least R(1)")
     target = gl_order(profile.n)
+    # R(k) >= 2 makes the terms grow at least as 2^q, so the loop ends
+    # within k*log2|GL(n,2)| levels; R(k) = 1 leaves them flat, which
+    # only a profile that covers the group by itself can afford
+    if profile.sizes[k] < 2 and sum(profile.sizes) < target:
+        raise FormatError(f"R({k}) = 1 keeps the sphere product from growing; "
+                          f"the bound needs R({k}) >= 2")
     total = 0
     power = 1  # R(k)^q, maintained incrementally
     level = 0
@@ -93,8 +99,6 @@ def ell(profile: SphereProfile) -> int:
         if total >= target:
             return level
         level += 1
-        if level > 100_000:
-            raise RuntimeError("diameter bound did not converge")
 
 
 def quadratic_bound_exceeds(n: int, t: int) -> bool:

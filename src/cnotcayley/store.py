@@ -99,6 +99,8 @@ def _read_layout(fh) -> _Layout:
         raise DatabaseError("orbit counts do not match the entry count")
     if int(max_complete) != levels - 1 - (0 if last_complete else 1):
         raise DatabaseError("inconsistent depth fields")
+    if complete and not last_complete:
+        raise DatabaseError("complete flag set but the last level marked inexact")
     if complete != (sum(sphere_sizes) == gl_order(n)):
         raise DatabaseError(f"complete flag {complete} disagrees with the sphere table")
     return _Layout(n, _TAG_SPECS[spec_tag], bool(last_complete),
@@ -131,18 +133,16 @@ def load(path) -> ExplorationResult:
     )
 
 
-def lookup(source, m: BitMatrix) -> int:
-    """Distance of a matrix from a loaded result or a database path.
+def lookup(path, m: BitMatrix) -> int:
+    """Distance of a matrix from a database file.
 
-    Path lookups binary-search the entry block in place, reading one
-    9-byte record per probe, so no full load happens.  The file length
-    must equal header + sphere table + 9 bytes per entry.  The matrix is
-    canonicalized under the recorded isometry spec first.
+    Binary-searches the entry block in place, reading one 9-byte record
+    per probe, so no full load happens.  The file length must equal
+    header + sphere table + 9 bytes per entry.  The matrix is
+    canonicalized under the recorded isometry spec first.  For a result
+    in memory use ``bfs.distance_of``.
     """
-    if isinstance(source, ExplorationResult):
-        from .bfs import distance_of
-        return distance_of(source, m)
-    with open(source, "rb") as fh:
+    with open(path, "rb") as fh:
         lay = _read_layout(fh)
         if m.n != lay.n:
             raise DatabaseError(f"matrix order {m.n} vs database order {lay.n}")

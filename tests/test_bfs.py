@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from cnotcayley import gf2
+from cnotcayley import bfs, gf2
 from cnotcayley.bfs import (
     BidirOutcome,
     SearchLimits,
@@ -82,19 +82,46 @@ def test_distances_match_unreduced_oracle(n, explored, oracle_dist):
         assert distance_of(res, gf2.BitMatrix(n, bits)) == d
 
 
-def test_plain_bfs_levels_match_oracle(oracle_dist):
-    # the engine's unreduced mode: every element is its own orbit
-    for n in (3, 4):
-        truth = oracle_dist(n)
-        seen = 0
-        for d, (level, elements, whole) in enumerate(
-                _levels(n, None, identity(n).bits, SearchLimits(), None)):
-            assert elements == level.size and whole
-            assert np.all(level[1:] > level[:-1])
-            for bits in level:
-                assert truth[int(bits)] == d
-            seen += level.size
-        assert seen == gl_order(n)
+def _times(keys, q, n):
+    """keys * q for packed row-major matrices: row i of a product is the
+    XOR of the rows j of q picked by the entries (i, j) of the key."""
+    out = np.zeros_like(keys)
+    for i in range(n):
+        for j in range(n):
+            picked = (keys >> np.uint64(i * n + j)) & np.uint64(1)
+            row = np.uint64((q >> (j * n)) & ((1 << n) - 1))
+            out ^= (picked * row) << np.uint64(i * n)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("spec", ["sym", "sym-ti"])
+def test_levels_from_an_orbit_match_oracle(n, spec, oracle_dist):
+    # level b must hold the canonical keys of every x whose distance to
+    # the orbit of the start is b, and count those x exactly
+    spec = IsometrySpec(spec)
+    truth = oracle_dist(n)
+    group = np.array(sorted(truth), dtype=np.uint64)
+    from_identity = np.array([truth[int(k)] for k in group])
+    canon, _ = canonicalize_batch(group, n, spec)
+    cycle = perm_matrix(parse_perm(f"({' '.join(map(str, range(1, n + 1)))})", n))
+    starts = [identity(n), gf2.transvection_matrix(gf2.Transvection(1, 2), n),
+              cycle, random_invertible(n, random.Random(n))]
+    for start in starts:
+        orbit = group[canon == canon[np.searchsorted(group, start.bits)]]
+        # d(x, p) = d(p, x) = d(I, x * p^-1), minimised over the orbit
+        from_orbit = np.full(group.size, group.size)
+        for p in orbit:
+            moved = _times(group, gf2.invert_bits(int(p), n), n)
+            from_orbit = np.minimum(
+                from_orbit, from_identity[np.searchsorted(group, moved)])
+        levels = list(_levels(n, spec, start.bits, SearchLimits(), None))
+        assert len(levels) == from_orbit.max() + 1
+        for b, (level, elements, whole) in enumerate(levels):
+            at_b = from_orbit == b
+            assert whole and elements == int(at_b.sum())
+            assert np.array_equal(level, np.unique(canon[at_b]))
+        assert sum(elements for _, elements, _ in levels) == gl_order(n)
 
 
 def test_distance_symmetry_under_inverse(explored):
@@ -305,17 +332,35 @@ def test_bidir_asymmetric_split(explored):
 @pytest.mark.parametrize("n, fwd, bwd, expected", [
     (4, 5, 4, BidirOutcome(9, True)),
     (4, 2, 2, BidirOutcome(5, False)),
-    # backward level 5 holds 117,860 elements, many canonicalization
-    # chunks, so the workers really split it
     (5, 7, 5, BidirOutcome(12, True)),
 ])
-def test_bidir_threads_agree(n, fwd, bwd, expected):
+def test_bidir_threads_agree(monkeypatch, n, fwd, bwd, expected):
     # the long cycle (distance 9 at n=4, 12 at n=5): meets and a
     # depth-limited miss come out the same for one and two workers
     target = perm_matrix(parse_perm(f"({' '.join(map(str, range(1, n + 1)))})", n))
-    for threads in (1, 2):
-        assert bidirectional_distance(n, target, IsometrySpec.SYM, fwd, bwd,
-                                      limits=SearchLimits(threads=threads)) == expected
+    assert bidirectional_distance(n, target, IsometrySpec.SYM, fwd, bwd) == expected
+    # count the pool's tasks, and where the forward ball ends, to see
+    # that the backward side still hands the workers several chunks
+    submitted = []
+    forward_done = []
+    submit = ThreadPoolExecutor.submit
+    explore = bfs.isometry_bfs
+
+    def counting(self, fn, *args, **kwargs):
+        submitted.append(fn)
+        return submit(self, fn, *args, **kwargs)
+
+    def forward(*args, **kwargs):
+        res = explore(*args, **kwargs)
+        forward_done.append(len(submitted))
+        return res
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counting)
+    monkeypatch.setattr(bfs, "isometry_bfs", forward)
+    assert bidirectional_distance(n, target, IsometrySpec.SYM, fwd, bwd,
+                                  limits=SearchLimits(threads=2)) == expected
+    if n == 5:  # at n=4 every batch fits one chunk and stays serial
+        assert len(submitted) - forward_done[0] >= 2
 
 
 def test_bidir_certified_lower_bound(explored):

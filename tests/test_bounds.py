@@ -13,7 +13,7 @@ from cnotcayley.bounds import (
     quadratic_bound_exceeds,
     quadratic_crossing,
 )
-from cnotcayley.errors import HorizonError, OrderError
+from cnotcayley.errors import FormatError, HorizonError, OrderError
 from cnotcayley.essential import PolyCoeffs, load_coeffs
 from cnotcayley.permcheck import partitions
 
@@ -110,6 +110,17 @@ def test_ell_monotone_in_k(explored):
 def test_ell_requires_k_at_least_one(explored):
     with pytest.raises(ValueError):
         ell(SphereProfile.from_exploration(explored(3), 0))
+
+
+def test_ell_rejects_a_flat_profile(explored):
+    # R(k) = 1 leaves the sphere product flat, so it is refused unless
+    # the profile already covers the group, as GL(2,2) does: its
+    # sphere sizes are 1, 2, 2, 1
+    with pytest.raises(FormatError, match=r"R\(1\) = 1"):
+        ell(SphereProfile(20, (1, 1), ("x", "x")))
+    with pytest.raises(FormatError, match=r"R\(2\) = 1"):
+        ell(SphereProfile(3, (1, 6, 1), ("x",) * 3))
+    assert ell(SphereProfile.from_exploration(explored(2), 3)) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -205,16 +205,20 @@ def test_bad_numbers_are_usage_errors(capsys, argv):
 
 def test_unreadable_inputs_exit_1(capsys, g3_db, tmp_path):
     # a directory where a file belongs, a coefficient file that is not
-    # text, and one whose polynomial gives no sphere size
+    # text, one whose polynomial gives no sphere size, and one with
+    # R(1) = 1, whose sphere product never grows
     binary = tmp_path / "binary.csv"
     binary.write_bytes(b"1,0,\xff,0\n")
     zero = tmp_path / "zero.csv"
     zero.write_text("1,0,0,0\n")
+    flat = tmp_path / "flat.csv"
+    flat.write_text("1,1,0,0\n")
     for argv in (("dist", "--db", str(tmp_path), "--matrix", "10,01"),
                  ("classify", "--db", str(tmp_path)),
                  ("poly-eval", "--d", "1", "--n", "3", "--coeffs", str(tmp_path)),
                  ("poly-eval", "--d", "1", "--n", "3", "--coeffs", str(binary)),
-                 ("diam-bound", "--k", "1", "--n", "20", "--coeffs", str(zero))):
+                 ("diam-bound", "--k", "1", "--n", "20", "--coeffs", str(zero)),
+                 ("diam-bound", "--k", "1", "--n", "20", "--coeffs", str(flat))):
         code, _, err = invoke(capsys, *argv)
         assert code == 1
         assert err.startswith("error: ")
