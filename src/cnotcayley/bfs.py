@@ -291,8 +291,11 @@ def _neighbor_distances(res: ExplorationResult, m: BitMatrix):
                                dtype=np.uint64), n, swap=True)
           if res.spec.uses_ti else None)
     canon, _ = canonicalize_batch(succ, n, res.spec, ti=ti)
+    # one search for the whole batch; res.keys always holds the identity
+    idx = np.minimum(np.searchsorted(res.keys, canon), res.keys.size - 1)
+    hit = (res.keys[idx] == canon).tolist()
     trans = gf2.all_transvections(n)
-    return trans, [res.distance_of_key(int(k)) for k in canon]
+    return trans, [d if h else None for d, h in zip(res.dists[idx].tolist(), hit)]
 
 
 def synthesize(res: ExplorationResult, m: BitMatrix) -> Circuit:

@@ -11,17 +11,29 @@ The canonical representative of an orbit is *defined* as the minimum
 packed value over the orbit.  ``canonicalize`` computes exactly that
 minimum in one of two ways, chosen by the order:
 
-* n <= 7: every image at once.  The n!-fold conjugation is a bit
-  permutation of the packed word, expressed as an exact float64 matrix
-  product of the unpacked bit vector with a table of per-permutation
-  bit weights (packed values below 2^49 fit a double exactly).  The
-  product has only n^2 terms per image, so the kernel is bound by
-  memory, not arithmetic: each chunk's (keys x n!) image plane is
-  written once and read twice (for the minimum and for the stabilizer
-  count).  Chunks are therefore sized so that the plane, 2 MiB, stays
-  in a core's L2 cache (364 keys at n=6, 52 at n=7) and its memory is
-  reused by the next chunk, as in the cache blocking of Goto and van de
-  Geijn, "Anatomy of high-performance matrix multiplication" (2008).
+* n <= 7: a one-level pruned product.  Image row n-1, the most
+  significant, is the source row of the index sent to n-1, with its
+  diagonal bit on top and its off-diagonal ones packed low at best.  So
+  the minimum sends to n-1 an index whose row minimizes (diagonal bit,
+  off-diagonal weight) among the rows of the key and, under ``sym-ti``,
+  of its transpose-inverse.  Each such (source, index) pair is unpacked
+  with the index swapped to n-1, by one gather through a per-order
+  table of source bits.  Its (n-1)! conjugates that fix n-1 are then an
+  exact float64 matrix product of the bit vector with a table of
+  per-permutation bit weights (packed values below 2^49 fit a double
+  exactly).  BFS successors have 1.2 to 1.8 pairs per key, so most of
+  the n! images per key are never formed.  Each chunk's ((n-1)! x
+  pairs) image plane is written once and read twice (for the minimum
+  and for the stabilizer count).  Chunks are therefore sized for two
+  pairs per key, so that the plane and the unpacked bits, 2 MiB, stay
+  in a core's L2 cache (840 keys at n=6, 170 at n=7) and their memory
+  is reused by the next chunk, as in the cache blocking of Goto and van
+  de Geijn, "Anatomy of high-performance matrix multiplication" (2008).
+  Keys whose indices all tie, such as permutation matrices, bring n
+  pairs each (2n under ``sym-ti``).  A single key picks its pairs on
+  Python ints, where numpy's fixed cost per call would dominate.
+  Fixing the top row before the product is the first level of the
+  individualize-and-refine search below.
 * n = 8: a lex-leader search (``_min_stab_search``) that builds the
   minimum image row by row, most significant row first, over partial
   arrangements whose candidate cells are refined by the rows already
@@ -37,9 +49,11 @@ minimum in one of two ways, chosen by the order:
 used to cross-check both paths in CI.
 
 Orbit sizes come from the same pass via the orbit-stabilizer identity
-|orbit| * |stabilizer| = |acting group|: the matmul path counts the
-images equal to the key, and the search counts its leaves, which are
-exactly the group elements that map the key to its canonical image.
+|orbit| * |stabilizer| = |acting group|: both paths count the group
+elements that map the key to its canonical image.  Every such element
+sends a candidate index to n-1, so the matmul path counts the
+candidates' images equal to the minimum; the search counts its
+leaves.
 
 Under ``sym-ti`` every key also needs its transpose-inverse, a GF(2)
 matrix inversion.  ``transpose_inverse_keys`` does it as one vectorised
@@ -66,6 +80,7 @@ from .errors import ConsistencyError, SingularError
 from .gf2 import BitMatrix, Permutation
 
 _U1 = np.uint64(1)
+_POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 class IsometrySpec(Enum):
@@ -106,28 +121,48 @@ def act(sigma: Permutation, xi: int, m: BitMatrix) -> BitMatrix:
 # ---------------------------------------------------------------------------
 
 
-# bytes of one chunk's (B, n!) float64 image plane: it fits a 2 MiB
+# bytes of a chunk's float64 working set at two candidate pairs per key,
+# each with its (n-1)! images and n^2 unpacked bits: it fits a 2 MiB
 # per-core L2 cache (see the module docstring)
 _PLANE_BYTES = 1 << 21
 
 
 class _PermTables:
-    """Per-order tables for n <= 7: all n! index permutations and, for
-    each, the bit weight every unpacked matrix entry contributes to the
-    permuted word."""
+    """Per-order tables for n <= 7.
+
+    ``score[r | i << n]`` ranks row value r at index i by (diagonal bit,
+    off-diagonal weight), as popcount + (n-1) * diagonal bit;
+    ``score_list`` holds the same for the scalar path.  ``swap[i]``
+    holds, for every entry of a matrix whose indices i and n-1 are
+    swapped, the source bit it reads, as a mask.  ``wf`` holds the bit
+    weight every unpacked matrix entry contributes to the image under
+    each of the (n-1)! permutations that fix n-1, one permutation per
+    row.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        self.perms = list(permutations(range(n)))
-        nn = n * n
-        self.pos = np.arange(nn, dtype=np.uint64)
-        packw = np.empty((len(self.perms), nn), dtype=np.uint64)
-        for s, p in enumerate(self.perms):
+        idx = np.arange(n, dtype=np.uint64)
+        self.row_shift = idx * np.uint64(n)
+        self.row_mask = np.uint64((1 << n) - 1)
+        self.row_index = idx << np.uint64(n)
+        r = np.arange(1 << n)
+        self.score = (_POPCOUNT8[r] + (n - 1) * ((r >> np.arange(n)[:, None]) & 1)
+                      ).astype(np.uint8).ravel()
+        self.score_list = self.score.tolist()
+        self.swap = np.empty((n, n * n), dtype=np.uint64)
+        for i in range(n):
+            s = idx.copy()
+            s[[i, n - 1]] = s[[n - 1, i]]
+            self.swap[i] = _U1 << (s[:, None] * np.uint64(n) + s[None, :]).ravel()
+        perms = [p + (n - 1,) for p in permutations(range(n - 1))]
+        packw = np.empty((len(perms), n * n), dtype=np.uint64)
+        for k, p in enumerate(perms):
             pv = np.array(p, dtype=np.uint64)
-            packw[s] = _U1 << (pv[:, None] * np.uint64(n) + pv[None, :]).ravel()
+            packw[k] = _U1 << (pv[:, None] * np.uint64(n) + pv[None, :]).ravel()
         # every packed value < 2^(n*n) <= 2^49 is exactly representable
-        self.wf = np.ascontiguousarray(packw.astype(np.float64).T)
-        self.chunk = _PLANE_BYTES // (8 * len(self.perms))
+        self.wf = packw.astype(np.float64)
+        self.chunk = _PLANE_BYTES // (16 * (len(perms) + n * n))
 
 
 @lru_cache(maxsize=None)
@@ -135,15 +170,17 @@ def _tables(n: int) -> _PermTables:
     return _PermTables(n)
 
 
-# larger orders run the lex-leader search: their packed images no longer
-# fit a double, and n! images per key cost more than the search
+# larger orders run the lex-leader search: their packed images, up to
+# 2^64, no longer fit a double exactly.  Up to order 7 the pruned product
+# is the faster kernel: on depth-5 successors at n=7, 5-7.5 us per
+# successor against the search's 11-14.5 under sym, 11.5-12.5 against
+# 14-19.5 under sym-ti
 _MATMUL_MAX_ORDER = 7
 # keys per search chunk.  Random keys keep a few live branches each,
 # near-identity keys up to a few hundred (540 at most among the depth-5
 # successors of GL(8,2)); a whole chunk of that worst key peaks at
 # ~85 MB RSS.
 _SEARCH_CHUNK = 1024
-_POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 def transpose_inverse_keys(keys: np.ndarray, n: int) -> np.ndarray:
@@ -178,27 +215,54 @@ def transpose_inverse_keys(keys: np.ndarray, n: int) -> np.ndarray:
     return np.bitwise_or.reduce((aug >> nb) << (idx * nb)[:, None], axis=0)
 
 
-def _unpack(keys: np.ndarray, t: _PermTables) -> np.ndarray:
-    return ((keys[:, None] >> t.pos[None, :]) & _U1).astype(np.float64)
-
-
-def _min_stab_small(src: np.ndarray, ref: np.ndarray, t: _PermTables):
-    """Min image of each src key and how many of its images equal ref."""
-    images = _unpack(src, t) @ t.wf
-    best = images.min(axis=1)
-    stab = (images == ref.astype(np.float64)[:, None]).sum(axis=1)
-    return best, stab
+def _images(x: np.ndarray, i: np.ndarray, t: _PermTables) -> np.ndarray:
+    """((n-1)!, pairs) float64: each packed x[p], with its indices i[p]
+    and n-1 swapped, imaged under the (n-1)! permutations that fix n-1.
+    One pair per column, so that the reductions over a pair's images
+    run down the columns."""
+    bits = (x[:, None] & t.swap[i]) != 0
+    return t.wf @ bits.astype(np.float64).T
 
 
 def _min_stab_matmul(keys: np.ndarray, ti: np.ndarray | None, t: _PermTables):
-    """Canonical key and stabilizer order of each key, from all n! images
-    of the key (and of its TI, if given) as exact float64 products."""
-    best, stab = _min_stab_small(keys, keys, t)
-    if ti is not None:
-        b2, s2 = _min_stab_small(ti, keys, t)
-        best = np.minimum(best, b2)
-        stab = stab + s2
-    return best.astype(np.int64).view(np.uint64), stab
+    """Canonical key and stabilizer order of each key, from the images
+    that can be minimal, as exact float64 products.
+
+    Image row n-1, the most significant, is source row i for the index
+    i sent to n-1: its diagonal bit on top, its off-diagonal ones packed
+    low at best.  So a minimal image sends to n-1 an index whose row
+    minimizes (diagonal bit, off-diagonal weight), over the key and,
+    if given, its TI.  Each such (source, i) pair is swapped to put i at
+    n-1 and imaged under the (n-1)! permutations that fix n-1.  Every
+    group element that maps the key to its canonical image lies among
+    these pairs' images, so counting the images equal to the minimum
+    gives the stabilizer order.
+    """
+    srcs = keys[:, None] if ti is None else np.array((keys, ti)).T
+    score = t.score[((srcs[:, :, None] >> t.row_shift) & t.row_mask) | t.row_index]
+    group, v, i = np.nonzero(score == score.min(axis=(1, 2))[:, None, None])
+    images = _images(srcs[group, v], i, t)
+    # every key has a pair, so its pairs start where the group changes
+    starts = np.searchsorted(group, np.arange(keys.size))
+    canon = np.minimum.reduceat(images.min(axis=0), starts)
+    # a pair has at most (n-1)! <= 720 equal images
+    count = (images == canon[group]).view(np.uint8).sum(axis=0, dtype=np.uint16)
+    stab = np.add.reduceat(count, starts, dtype=np.uint64)
+    return canon.astype(np.int64).view(np.uint64), stab
+
+
+def _min_stab_one(sources: list[int], t: _PermTables) -> tuple[int, int]:
+    """``_min_stab_matmul`` for one key, given with its TI under a TI
+    spec, on Python ints where it can: numpy's fixed cost per call
+    would outweigh the work."""
+    n = t.n
+    scored = [(t.score_list[((src >> (i * n)) & ((1 << n) - 1)) | (i << n)], src, i)
+              for src in sources for i in range(n)]
+    best = min(sc for sc, _, _ in scored)
+    x, i = zip(*[(src, i) for sc, src, i in scored if sc == best])
+    images = _images(np.array(x, dtype=np.uint64), np.array(i), t)
+    canon = images.min()
+    return int(canon), int(np.count_nonzero(images == canon))
 
 
 def _rows(keys: np.ndarray, n: int) -> np.ndarray:
@@ -365,13 +429,22 @@ def canonicalize_batch(keys: np.ndarray, n: int, spec: IsometrySpec,
 
 def canonicalize(m: BitMatrix, spec: IsometrySpec = IsometrySpec.SYM) -> OrbitInfo:
     """Orbit key (minimum packed image) and orbit size, in one pass."""
-    if m.n == 0:
+    n = m.n
+    if n == 0:
         return OrbitInfo(m, 1)
-    ti = (np.array([gf2.transpose_inverse_bits(m.bits, m.n)], dtype=np.uint64)
-          if spec.uses_ti else None)
-    canon, sizes = canonicalize_batch(np.array([m.bits], dtype=np.uint64), m.n,
-                                      spec, ti=ti)
-    return OrbitInfo(BitMatrix(m.n, int(canon[0])), int(sizes[0]))
+    sources = [m.bits]
+    if spec.uses_ti:
+        sources.append(gf2.transpose_inverse_bits(m.bits, n))
+    if n > _MATMUL_MAX_ORDER:
+        keys = np.array(sources, dtype=np.uint64)
+        canon, sizes = canonicalize_batch(keys[:1], n, spec,
+                                          ti=keys[1:] if spec.uses_ti else None)
+        return OrbitInfo(BitMatrix(n, int(canon[0])), int(sizes[0]))
+    canon, stab = _min_stab_one(sources, _tables(n))
+    order = spec.group_order(n)
+    if order % stab:
+        raise ConsistencyError("stabilizer count does not divide the group order")
+    return OrbitInfo(BitMatrix(n, canon), order // stab)
 
 
 def canonicalize_reference(m: BitMatrix, spec: IsometrySpec = IsometrySpec.SYM) -> OrbitInfo:

@@ -1,11 +1,16 @@
-"""Shared fixtures: cached explorations and an independent distance oracle.
+"""Shared fixtures: cached explorations and two independent oracles.
 
-Explorations are expensive enough to share across modules; the oracle
-below is a deliberately naive dict-based BFS over the full group, kept
-free of the package's vectorised machinery so it can vouch for it.
+Explorations are expensive enough to share across modules.  The
+distance oracle is a deliberately naive dict-based BFS over the full
+group, kept free of the package's vectorised machinery so it can vouch
+for it.  The canonicalization oracle images every key under all n!
+permutations at once, with none of the fast kernel's pruning.
 """
 
 import dataclasses
+import math
+from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -75,3 +80,41 @@ def oracle_dist():
         return cache[n]
 
     return get
+
+
+@lru_cache(maxsize=None)
+def _all_perm_weights(n):
+    """(n^2, n!) float64: the bit weight of every matrix entry under each
+    of the n! index permutations."""
+    packw = np.empty((math.factorial(n), n * n), dtype=np.uint64)
+    for s, p in enumerate(permutations(range(n))):
+        pv = np.array(p, dtype=np.uint64)
+        packw[s] = np.uint64(1) << (pv[:, None] * np.uint64(n) + pv[None, :]).ravel()
+    return np.ascontiguousarray(packw.astype(np.float64).T)
+
+
+def full_matmul_min_stab(keys, ti, n):
+    """Canonical key and stabilizer order of each key from all n! images
+    of the key (and of its TI, if given), as exact float64 products;
+    n <= 7, where packed values fit a double.  The stabilizer counts the
+    images equal to the key itself.  Keys go 256 at a time, so an
+    order-7 plane stays near 10 MB."""
+    wf = _all_perm_weights(n)
+    pos = np.arange(n * n, dtype=np.uint64)
+    canon = np.empty_like(keys)
+    stab = np.zeros(keys.size, dtype=np.uint64)
+    for start in range(0, keys.size, 256):
+        part = slice(start, start + 256)
+        best = np.inf
+        for src in (keys,) if ti is None else (keys, ti):
+            images = ((src[part, None] >> pos) & np.uint64(1)).astype(np.float64) @ wf
+            best = np.minimum(best, images.min(axis=1))
+            stab[part] += (images == keys[part, None].astype(np.float64)).sum(
+                axis=1, dtype=np.uint64)
+        canon[part] = best.astype(np.int64).view(np.uint64)
+    return canon, stab
+
+
+@pytest.fixture(scope="session")
+def full_matmul():
+    return full_matmul_min_stab

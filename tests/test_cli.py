@@ -1,9 +1,14 @@
 """The command-line surface: outputs, formats and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cnotcayley
 from cnotcayley.cli import run
 
 
@@ -138,6 +143,17 @@ def test_poly_eval(capsys):
     code, out, _ = invoke(capsys, "poly-eval", "--d", "3", "--n", "7")
     assert code == 0
     assert out.splitlines()[1] == "3,7,22141,certified"
+
+
+@pytest.mark.parametrize("module", ["cnotcayley", "cnotcayley.cli"])
+def test_python_m_runs_the_cli(module):
+    src = str(Path(cnotcayley.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", module, "poly-eval", "--d", "3", "--n", "7"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "3,7,22141,certified"
 
 
 def test_diam_bound(capsys):

@@ -19,6 +19,7 @@ from cnotcayley.gf2 import (
     apply_transvection,
     identity,
     multiply,
+    parse_matrix,
     parse_perm,
     perm_matrix,
     random_invertible,
@@ -30,6 +31,7 @@ from cnotcayley.errors import SingularError
 from cnotcayley.isometry import (
     IsometrySpec,
     _min_stab_matmul,
+    _min_stab_one,
     _min_stab_search,
     _tables,
     act,
@@ -386,6 +388,134 @@ def test_batch_memory_stays_chunk_sized(spec):
     finally:
         tracemalloc.stop()
     assert peak - (canon.nbytes + sizes.nbytes) < 6 << 20
+
+
+@pytest.mark.parametrize("spec", [SYM, SYM_TI])
+def test_tied_chunk_memory_stays_bounded(spec):
+    # every index of a fixed-point-free permutation matrix ties for the
+    # top image row, and P^-T = P, so each key brings n candidates (2n
+    # under sym-ti) instead of the one or two a chunk is sized for
+    n = 6
+    derangements = [p for p in permutations(range(1, n + 1))
+                    if all(p[k] != k + 1 for k in range(n))]
+    keys = np.array([perm_matrix(Permutation(n, derangements[k % len(derangements)])).bits
+                     for k in range(2000)], dtype=np.uint64)
+    canonicalize_batch(keys[:10], n, spec)     # tables built outside the trace
+    tracemalloc.start()
+    try:
+        canon, sizes = canonicalize_batch(keys, n, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the chunk's working set is sized for two candidates per key
+    ties = 2 * n if spec.uses_ti else n
+    assert peak - (canon.nbytes + sizes.nbytes) < 1.25 * ties / 2 * isometry._PLANE_BYTES
+
+
+# ---------------------------------------------------------------------------
+# the pruned product that serves n <= 7
+# ---------------------------------------------------------------------------
+
+
+def assert_pruned_matches_full(keys, n, full_matmul):
+    for spec in (SYM, SYM_TI):
+        ti = transpose_inverse_keys(keys, n) if spec.uses_ti else None
+        canon, stab = _min_stab_matmul(keys, ti, _tables(n))
+        ref_canon, ref_stab = full_matmul(keys, ti, n)
+        assert np.array_equal(canon, ref_canon)
+        assert np.array_equal(stab, ref_stab)
+        # the scalar path of single-key callers
+        for k in range(0, keys.size, max(1, keys.size // 50)):
+            sources = [int(keys[k])] + ([] if ti is None else [int(ti[k])])
+            assert _min_stab_one(sources, _tables(n)) == (int(ref_canon[k]), int(ref_stab[k]))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pruned_matmul_matches_full_on_random_keys(full_matmul, n):
+    assert_pruned_matches_full(random_keys(n, 5000, 140 + n), n, full_matmul)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pruned_matmul_matches_full_on_shallow_balls(explored, full_matmul, n):
+    # near the identity live the ties, the twins and the large stabilizers
+    for spec in (SYM, SYM_TI):
+        ball = explored(n, spec, 3).keys
+        assert_pruned_matches_full(np.concatenate([ball, _successors(ball, n)]), n,
+                                   full_matmul)
+
+
+def block_diagonal(*blocks):
+    """The block-diagonal matrix of the given blocks, each as its rows."""
+    n = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += ["0" * at + r + "0" * (n - at - len(r)) for r in b]
+        at += len(b)
+    return parse_matrix(",".join(rows))
+
+
+def best_top_rows(bits, n):
+    """The least (diagonal bit, off-diagonal weight) over the rows of a
+    packed matrix, and the indices whose rows attain it."""
+    rows = [(bits >> (i * n)) & ((1 << n) - 1) for i in range(n)]
+    scores = [((r >> i) & 1, bin(r).count("1") - ((r >> i) & 1)) for i, r in enumerate(rows)]
+    return min(scores), [i for i, sc in enumerate(scores) if sc == min(scores)]
+
+
+# the least top row of each matrix's TI is unique and beats every row of
+# the matrix itself (asserted below)
+TI_TOP_ROW = {
+    6: "110010,011010,001010,000100,010010,001011",
+    7: "1000000,0100001,1010000,0101100,0000100,0000010,0100100",
+}
+
+
+def structured_matrices(n):
+    def t(i, j):
+        return transvection_matrix(Transvection(i, j), n)
+
+    def cycle(k):
+        return perm_matrix(parse_perm("(" + " ".join(map(str, range(1, k + 1))) + ")", n))
+
+    pad = [["1"]] * (n - 6)
+    b2, a3, c4 = ["11", "01"], ["110", "011", "001"], ["1011", "0110", "0011", "0001"]
+    cases = {
+        "identity": identity(n),
+        "6-cycle": cycle(6),
+        "three equal 2x2 blocks": block_diagonal(b2, b2, b2, *pad),
+        "two equal 3x3 blocks": block_diagonal(a3, a3, *pad),
+        "2x2 and 4x4 blocks": block_diagonal(b2, c4, *pad),
+        # row 1 adds rows 2 and 3: twins {2, 3} and {4, ..., n}
+        "twins": multiply(t(1, 2), t(1, 3)),
+        # a class of three twins next to a transvection
+        "three twins": multiply(multiply(t(1, 2), t(1, 3)), multiply(t(1, 4), t(5, 6))),
+        "top row only from TI": parse_matrix(TI_TOP_ROW[n]),
+    }
+    if n == 7:
+        cases["7-cycle"] = cycle(7)
+        cases["3x3 and 4x4 blocks"] = block_diagonal(a3, c4)
+    return cases
+
+
+@pytest.mark.parametrize("n, name", [(n, name) for n in (6, 7)
+                                     for name in sorted(structured_matrices(n))])
+def test_matmul_matches_oracle_on_structured(n, name):
+    m = structured_matrices(n)[name]
+    for spec in (SYM, SYM_TI):
+        ref = canonicalize_reference(m, spec)
+        assert canonicalize(m, spec) == ref
+        # a batch takes the vectorised path
+        canon, sizes = canonicalize_batch(np.array([m.bits] * 2, dtype=np.uint64), n, spec)
+        assert (int(canon[1]), int(sizes[1])) == (ref.key.bits, ref.orbit_size)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_ti_case_takes_its_top_row_from_ti(n):
+    m = parse_matrix(TI_TOP_ROW[n])
+    best, _ = best_top_rows(m.bits, n)
+    ti_best, ti_at = best_top_rows(transpose_inverse(m).bits, n)
+    assert ti_best < best and len(ti_at) == 1
+    assert canonicalize(m, SYM_TI).key != canonicalize(m, SYM).key
 
 
 # ---------------------------------------------------------------------------
