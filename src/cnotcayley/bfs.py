@@ -18,7 +18,9 @@ stops *between* levels (everything recorded is complete), while an
 orbit-budget cap may stop mid-level, in which case only the last sphere
 size is a lower estimate and the result says so.
 
-Worker threads split each canonicalization batch; partial results are
+Successors are built and canonicalized block by block inside
+``isometry.canonicalize_successors``, so no successor array of a whole
+block exists.  Worker threads run its tiles; partial results are
 reassembled in input order and deduplicated by value, so distances,
 sphere sizes and stored keys are identical for every thread count.
 """
@@ -29,11 +31,10 @@ import resource
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from . import gf2, isometry
+from . import gf2
 from .bounds import gl_order
 from .errors import (
     ConsistencyError,
@@ -42,7 +43,12 @@ from .errors import (
     OrderError,
 )
 from .gf2 import BitMatrix, Circuit, Transvection
-from .isometry import IsometrySpec, canonicalize, canonicalize_batch
+from .isometry import (
+    IsometrySpec,
+    canonicalize,
+    canonicalize_batch,
+    canonicalize_successors,
+)
 
 
 @dataclass
@@ -118,35 +124,6 @@ def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[idx] == values
 
 
-@lru_cache(maxsize=None)
-def _transvection_shifts(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(target-row shift, source-row shift) columns, one row per
-    generator in (i, j) lex order; read-only, since they are shared."""
-    shifts = np.array([((t.i - 1) * n, (t.j - 1) * n)
-                       for t in gf2.all_transvections(n)],
-                      dtype=np.uint64).reshape(-1, 2)
-    shifts.flags.writeable = False
-    return shifts[:, 0:1], shifts[:, 1:2]
-
-
-def _successors(keys: np.ndarray, n: int, swap: bool = False) -> np.ndarray:
-    """All T*g for g in keys, laid out generator-major: the slice
-    [t*B:(t+1)*B] holds generator t applied to every key.
-
-    ``swap=True`` applies T[j,i] in the slot of T[i,j].  Since
-    TI(T[i,j]*g) = T[j,i]*TI(g), swapped successors of TI(keys) are the
-    transpose-inverses of the successors of keys, slot for slot.
-    """
-    ishift, jshift = _transvection_shifts(n)
-    if swap:
-        ishift, jshift = jshift, ishift
-    out = keys[None, :] >> jshift
-    out &= np.uint64((1 << n) - 1)
-    out <<= ishift
-    out ^= keys[None, :]
-    return out.reshape(-1)
-
-
 def _pool(threads: int):
     """A worker pool for canonicalization when ``threads > 1``; else a
     context that yields None (serial)."""
@@ -160,8 +137,9 @@ def isometry_bfs(n: int, spec: IsometrySpec = IsometrySpec.SYM,
 
     Returns exact distances for every stored canonical key and exact
     big-integer sphere sizes, stopping when the graph is exhausted or a
-    limit trips.  With ``limits.threads > 1`` canonicalization batches
-    run concurrently; the result is identical for any thread count.
+    limit trips.  With ``limits.threads > 1`` the tiles of each block's
+    successors are canonicalized concurrently; the result is identical
+    for any thread count.
     """
     if not 1 <= n <= gf2.MAX_ORDER:
         raise OrderError(f"order must be in 1..{gf2.MAX_ORDER}, got {n}")
@@ -255,11 +233,7 @@ def _next_level(n, spec, prev, curr, executor, budget):
 def _expand(block: np.ndarray, n: int, spec: IsometrySpec, executor):
     """Distinct canonical keys one step from ``block``, sorted, with
     their orbit sizes."""
-    succ = _successors(block, n)
-    # one inversion per frontier key instead of one per successor
-    ti = (_successors(isometry.transpose_inverse_keys(block, n), n, swap=True)
-          if spec.uses_ti else None)
-    canon, sizes = canonicalize_batch(succ, n, spec, executor, ti=ti)
+    canon, sizes = canonicalize_successors(block, n, spec, executor)
     uniq, first = np.unique(canon, return_index=True)
     return uniq, sizes[first]
 
@@ -284,17 +258,11 @@ def distance_of(res: ExplorationResult, m: BitMatrix) -> int:
 def _neighbor_distances(res: ExplorationResult, m: BitMatrix):
     """Distances of T*m for every generator T in lex order; None where the
     neighbor falls outside the stored ball."""
-    n = res.n
-    succ = _successors(np.array([m.bits], dtype=np.uint64), n)
-    # the numpy inverse costs more than the scalar one for a single key
-    ti = (_successors(np.array([gf2.transpose_inverse_bits(m.bits, n)],
-                               dtype=np.uint64), n, swap=True)
-          if res.spec.uses_ti else None)
-    canon, _ = canonicalize_batch(succ, n, res.spec, ti=ti)
+    canon, _ = canonicalize_successors(np.array([m.bits], dtype=np.uint64), res.n, res.spec)
     # one search for the whole batch; res.keys always holds the identity
     idx = np.minimum(np.searchsorted(res.keys, canon), res.keys.size - 1)
     hit = (res.keys[idx] == canon).tolist()
-    trans = gf2.all_transvections(n)
+    trans = gf2.all_transvections(res.n)
     return trans, [d if h else None for d, h in zip(res.dists[idx].tolist(), hit)]
 
 
@@ -352,9 +320,16 @@ def bidirectional_distance(n: int, target: BitMatrix,
     D <= fwd_depth + bwd_depth, the first level to meet is
     b = max(0, D - fwd_depth), and there min(a) + b = D.  If the
     horizons never meet, D >= fwd_depth + bwd_depth + 1 is certified.
+
+    ``fwd_depth`` and ``bwd_depth`` bound the search; of ``limits`` only
+    ``threads`` is read, and a ``max_depth`` or ``max_orbits`` in it
+    raises ``ValueError`` rather than being ignored.
     """
     if target.n != n:
         raise DimensionError(f"target order {target.n} vs {n}")
+    if limits and (limits.max_depth is not None or limits.max_orbits is not None):
+        raise ValueError("bidirectional_distance takes fwd_depth and bwd_depth, "
+                         "not limits.max_depth or limits.max_orbits")
     threads = limits.threads if limits else 1
     fwd = isometry_bfs(n, spec, SearchLimits(max_depth=fwd_depth, threads=threads),
                        log=log)

@@ -85,7 +85,9 @@ def classify(res: ExplorationResult) -> EssentialClassTable:
     """Tally orbit sizes into (distance, essential-count) cells.
 
     Only levels with exact sphere sizes are classified.  Orbit sizes are
-    recomputed from the stored keys, which must be canonical.
+    recomputed from the stored keys, which must be canonical, and must
+    sum per level to the recorded sphere size: keys reduced under another
+    isometry spec than the recorded one fail there.
     """
     d_max = res.max_exact_depth
     mask = res.dists <= d_max
@@ -102,7 +104,13 @@ def classify(res: ExplorationResult) -> EssentialClassTable:
             sel = at_d & (counts == m)
             # orbit sizes <= 2*8! and |GL(8,2)| < 2^63, so uint64 is safe
             cells[(d, int(m))] = int(sizes[sel].sum(dtype=np.uint64))
-    return EssentialClassTable(n=res.n, spec=res.spec, d_max=d_max, cells=cells)
+    table = EssentialClassTable(n=res.n, spec=res.spec, d_max=d_max, cells=cells)
+    for d in range(d_max + 1):
+        level = table.sphere_size(d)
+        if level != res.sphere_sizes[d]:
+            raise ConsistencyError(f"orbit sizes at distance {d} sum to {level}, "
+                                   f"the sphere table records {res.sphere_sizes[d]}")
+    return table
 
 
 def extract_coeffs(table: EssentialClassTable, d: int) -> PolyCoeffs:

@@ -57,12 +57,17 @@ leaves.
 
 Under ``sym-ti`` every key also needs its transpose-inverse, a GF(2)
 matrix inversion.  ``transpose_inverse_keys`` does it as one vectorised
-Gauss-Jordan over the whole batch.  The BFS avoids even that for
-successors: TI is a graph automorphism with TI(T[i,j]*g) =
-T[j,i]*TI(g), so it inverts each frontier key once and derives the TI
-of all n(n-1) successors with swapped row shifts, passing them in
-through ``canonicalize_batch(..., ti=...)``.  Single-key callers use
-the scalar ``gf2`` inverse, which avoids numpy's fixed cost per call.
+Gauss-Jordan over a batch, or with the scalar ``gf2`` inverse for a
+batch of a few keys, where numpy's fixed cost per call would dominate.
+
+``canonicalize_successors`` canonicalizes the n(n-1) successors T*g of
+a set of keys without ever holding them all: it cuts their
+generator-major layout into tiles of at most one chunk and builds each
+tile's successors by broadcast row shifts.  Under ``sym-ti`` it avoids
+inverting them too: TI is a graph automorphism with TI(T[i,j]*g) =
+T[j,i]*TI(g), so it inverts each key once and derives the TI of every
+successor in the tile by swapped row shifts.  Tiles, not whole
+batches, are also what a worker pool runs concurrently.
 """
 
 from __future__ import annotations
@@ -183,18 +188,25 @@ _MATMUL_MAX_ORDER = 7
 _SEARCH_CHUNK = 1024
 
 
+# below this many keys the scalar inverse beats numpy's fixed cost per
+# call: at n=5 one key takes 10-20 us on Python ints against 160-210 us
+# through the vectorised Gauss-Jordan; the two meet near 8 keys
+_SCALAR_TI_KEYS = 8
+
+
 def transpose_inverse_keys(keys: np.ndarray, n: int) -> np.ndarray:
     """Transpose-inverse of every packed key, vectorised over the batch.
 
     The batch is held as its n augmented rows [row j of M^T | row j of
     I], an (n, B) uint64 array, and reduced by Gauss-Jordan with one
-    numpy pass per row operation.  Raises ``SingularError`` if any key
-    is singular.  Numpy's fixed cost per call makes a single key cheaper
-    through ``gf2.transpose_inverse_bits``.
+    numpy pass per row operation.  Fewer than ``_SCALAR_TI_KEYS`` keys
+    go through ``gf2.transpose_inverse_bits`` one by one instead.
+    Raises ``SingularError`` if any key is singular.
     """
     keys = np.asarray(keys, dtype=np.uint64)
-    if keys.size == 0:
-        return keys.copy()
+    if keys.size < _SCALAR_TI_KEYS:
+        return np.array([gf2.transpose_inverse_bits(k, n) for k in keys.tolist()],
+                        dtype=np.uint64)
     nb = np.uint64(n)
     idx = np.arange(n, dtype=np.uint64)
     # entry (i, j) of every key at bits[i, j]
@@ -364,7 +376,10 @@ def _min_stab_search(keys: np.ndarray, ti: np.ndarray | None, n: int):
 
 
 def _canonicalize_chunk(keys: np.ndarray, n: int, spec: IsometrySpec,
-                        ti: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+                        ti: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical keys and orbit sizes of one chunk.  Under a TI spec,
+    ``ti`` holds the keys' transpose-inverses if the caller derived
+    them; it is computed here otherwise."""
     if not spec.uses_ti:
         ti = None
     elif ti is None:
@@ -380,45 +395,112 @@ def _canonicalize_chunk(keys: np.ndarray, n: int, spec: IsometrySpec,
     return canon, sizes
 
 
-def canonicalize_batch(keys: np.ndarray, n: int, spec: IsometrySpec,
-                       executor=None, ti: np.ndarray | None = None
+def _chunk_size(n: int) -> int:
+    return _tables(n).chunk if n <= _MATMUL_MAX_ORDER else _SEARCH_CHUNK
+
+
+def canonicalize_batch(keys: np.ndarray, n: int, spec: IsometrySpec
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical keys and exact orbit sizes for an array of packed values.
 
     Pure function of the inputs; chunked internally so that each chunk's
-    working set stays in cache.  If an executor is given, chunks run on
-    it concurrently, each writing its own slice of the outputs, so the
-    output never depends on scheduling.  A batch of one chunk returns
-    that chunk's arrays as they are.  Under a TI spec, ``ti`` may carry
-    the transpose-inverse of every key, aligned with ``keys``, for
-    callers that already have it; otherwise it is computed here.  It is
-    ignored under ``sym``.
+    working set stays in cache.  A batch of one chunk returns that
+    chunk's arrays as they are.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     if n == 0 or keys.size == 0:
         return keys.copy(), np.ones(keys.size, dtype=np.uint64)
-    if ti is not None:
-        ti = np.ascontiguousarray(ti, dtype=np.uint64)
-        if ti.shape != keys.shape:
-            raise ValueError(f"ti has shape {ti.shape}, keys {keys.shape}")
-    size = _tables(n).chunk if n <= _MATMUL_MAX_ORDER else _SEARCH_CHUNK
+    size = _chunk_size(n)
     if keys.size <= size:
-        return _canonicalize_chunk(keys, n, spec, ti)
+        return _canonicalize_chunk(keys, n, spec)
     canon = np.empty_like(keys)
     sizes = np.empty_like(keys)
-
-    def fill(start: int) -> None:
+    for start in range(0, keys.size, size):
         part = slice(start, start + size)
-        canon[part], sizes[part] = _canonicalize_chunk(
-            keys[part], n, spec, None if ti is None else ti[part])
+        canon[part], sizes[part] = _canonicalize_chunk(keys[part], n, spec)
+    return canon, sizes
 
-    starts = range(0, keys.size, size)
+
+@lru_cache(maxsize=None)
+def _transvection_shifts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(target-row shift, source-row shift) columns, one row per
+    generator in (i, j) lex order; read-only, since they are shared."""
+    shifts = np.array([((t.i - 1) * n, (t.j - 1) * n)
+                       for t in gf2.all_transvections(n)],
+                      dtype=np.uint64).reshape(-1, 2)
+    shifts.flags.writeable = False
+    return shifts[:, 0:1], shifts[:, 1:2]
+
+
+def _successors(keys: np.ndarray, n: int, gens: slice = slice(None),
+                swap: bool = False) -> np.ndarray:
+    """T*g for every generator T in ``gens``, a slice of the (i, j) lex
+    order, and every g in keys, laid out generator-major: the slice
+    [t*B:(t+1)*B] holds the t-th of those generators applied to every key.
+
+    ``swap=True`` applies T[j,i] in the slot of T[i,j].  Since
+    TI(T[i,j]*g) = T[j,i]*TI(g), swapped successors of TI(keys) are the
+    transpose-inverses of the successors of keys, slot for slot.
+    """
+    ishift, jshift = _transvection_shifts(n)
+    ishift, jshift = ishift[gens], jshift[gens]
+    if swap:
+        ishift, jshift = jshift, ishift
+    out = keys[None, :] >> jshift
+    out &= np.uint64((1 << n) - 1)
+    out <<= ishift
+    out ^= keys[None, :]
+    return out.reshape(-1)
+
+
+def canonicalize_successors(keys: np.ndarray, n: int, spec: IsometrySpec,
+                            executor=None) -> tuple[np.ndarray, np.ndarray]:
+    """``canonicalize_batch(_successors(keys, n), n, spec)``, without
+    holding the successors or their transpose-inverses.
+
+    The generator-major layout of the n(n-1)*B successors is cut into
+    contiguous tiles of at most one chunk: whole generators over all
+    keys when the keys fit in a chunk, otherwise one generator over a
+    run of keys.  Each tile builds its successors, and under a TI spec
+    derives their TIs from the keys' TIs, inverted once per call.  If an
+    executor is given, tiles run on it concurrently, each writing its
+    own slice of the outputs, so the output never depends on
+    scheduling.  A call of one tile returns that tile's arrays as they
+    are.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.uint64)
+    b = keys.size
+    gens = n * (n - 1)
+    if b == 0 or gens == 0:
+        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
+    ti = transpose_inverse_keys(keys, n) if spec.uses_ti else None
+
+    def tile(gen: slice, part: slice) -> tuple[np.ndarray, np.ndarray]:
+        return _canonicalize_chunk(
+            _successors(keys[part], n, gen), n, spec,
+            None if ti is None else _successors(ti[part], n, gen, swap=True))
+
+    size = _chunk_size(n)
+    if gens * b <= size:
+        return tile(slice(None), slice(None))
+    # (generators, keys, output slice) per tile: `step` generators over
+    # all keys, or one generator over a run of `run` keys
+    step, run = max(1, size // b), min(b, size)
+    tiles = [(slice(g, g + step), slice(s, s + run),
+              slice(g * b + s, (min(g + step, gens) - 1) * b + min(s + run, b)))
+             for g in range(0, gens, step) for s in range(0, b, run)]
+    canon = np.empty(gens * b, dtype=np.uint64)
+    sizes = np.empty(gens * b, dtype=np.uint64)
+
+    def fill(gen: slice, part: slice, out: slice) -> None:
+        canon[out], sizes[out] = tile(gen, part)
+
     if executor is None:
-        for start in starts:
-            fill(start)
+        for t in tiles:
+            fill(*t)
     else:
         # reading every result re-raises a worker's exception here
-        list(executor.map(fill, starts))
+        list(executor.map(fill, *zip(*tiles)))
     return canon, sizes
 
 
@@ -432,14 +514,12 @@ def canonicalize(m: BitMatrix, spec: IsometrySpec = IsometrySpec.SYM) -> OrbitIn
     n = m.n
     if n == 0:
         return OrbitInfo(m, 1)
+    if n > _MATMUL_MAX_ORDER:
+        canon, sizes = canonicalize_batch(np.array([m.bits], dtype=np.uint64), n, spec)
+        return OrbitInfo(BitMatrix(n, int(canon[0])), int(sizes[0]))
     sources = [m.bits]
     if spec.uses_ti:
         sources.append(gf2.transpose_inverse_bits(m.bits, n))
-    if n > _MATMUL_MAX_ORDER:
-        keys = np.array(sources, dtype=np.uint64)
-        canon, sizes = canonicalize_batch(keys[:1], n, spec,
-                                          ti=keys[1:] if spec.uses_ti else None)
-        return OrbitInfo(BitMatrix(n, int(canon[0])), int(sizes[0]))
     canon, stab = _min_stab_one(sources, _tables(n))
     order = spec.group_order(n)
     if order % stab:
@@ -489,9 +569,7 @@ def successor_orbits(key: BitMatrix, spec: IsometrySpec = IsometrySpec.SYM) -> t
     n = key.n
     if canonicalize(key, spec).key.bits != key.bits:
         raise ValueError("successor_orbits requires a canonical key")
-    succ = np.array([gf2.apply_transvection(t, key).bits
-                     for t in gf2.all_transvections(n)], dtype=np.uint64)
-    canon, sizes = canonicalize_batch(succ, n, spec)
+    canon, sizes = canonicalize_successors(np.array([key.bits], dtype=np.uint64), n, spec)
     uniq, first = np.unique(canon, return_index=True)
     return tuple(OrbitInfo(BitMatrix(n, int(k)), int(sizes[i]))
                  for k, i in zip(uniq, first))

@@ -79,6 +79,8 @@ def _read_layout(fh) -> _Layout:
         raise DatabaseError(f"matrix order {n} outside 1..{gf2.MAX_ORDER}")
     if spec_tag not in _TAG_SPECS:
         raise DatabaseError(f"unknown isometry tag {spec_tag}")
+    if complete not in (0, 1) or last_complete not in (0, 1):
+        raise DatabaseError(f"flag bytes {complete}, {last_complete} are not 0 or 1")
     orbit_counts = []
     sphere_sizes = []
     for _ in range(levels):
@@ -138,9 +140,10 @@ def lookup(path, m: BitMatrix) -> int:
 
     Binary-searches the entry block in place, reading one 9-byte record
     per probe, so no full load happens.  The file length must equal
-    header + sphere table + 9 bytes per entry.  The matrix is
-    canonicalized under the recorded isometry spec first.  For a result
-    in memory use ``bfs.distance_of``.
+    header + sphere table + 9 bytes per entry, and the record found must
+    hold a distance below the level count.  The matrix is canonicalized
+    under the recorded isometry spec first.  For a result in memory use
+    ``bfs.distance_of``.
     """
     with open(path, "rb") as fh:
         lay = _read_layout(fh)
@@ -155,6 +158,9 @@ def lookup(path, m: BitMatrix) -> int:
                            lay.offset + mid * _ENTRY_DTYPE.itemsize)
             k, d = struct.unpack("<QB", rec)
             if k == key:
+                if d >= len(lay.orbit_counts):
+                    raise DatabaseError(f"distance {d} beyond the "
+                                        f"{len(lay.orbit_counts)} recorded levels")
                 return d
             if k < key:
                 lo = mid + 1

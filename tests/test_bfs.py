@@ -363,6 +363,14 @@ def test_bidir_threads_agree(monkeypatch, n, fwd, bwd, expected):
         assert len(submitted) - forward_done[0] >= 2
 
 
+@pytest.mark.parametrize("limits", [SearchLimits(max_depth=3),
+                                    SearchLimits(max_orbits=10, threads=2)])
+def test_bidir_rejects_limits_it_does_not_read(limits):
+    # the depths of the probe are fwd_depth and bwd_depth
+    with pytest.raises(ValueError, match="fwd_depth and bwd_depth"):
+        bidirectional_distance(3, identity(3), fwd_depth=1, bwd_depth=1, limits=limits)
+
+
 def test_bidir_certified_lower_bound(explored):
     res = explored(3)
     deep = gf2.BitMatrix(3, int(res.keys[res.dists == 6][0]))

@@ -262,6 +262,19 @@ def test_classify_non_canonical_database(capsys, off_canonical, tmp_path):
     assert "not canonical" in err
 
 
+def test_classify_database_with_a_flipped_isometry_tag(capsys, tmp_path):
+    path = tmp_path / "ti.db"
+    assert run(["explore", "--n", "3", "--isometry", "sym-ti", "--out", str(path)]) == 0
+    blob = bytearray(path.read_bytes())
+    assert blob[11] == 1
+    blob[11] = 0
+    path.write_bytes(blob)
+    capsys.readouterr()
+    code, out, err = invoke(capsys, "classify", "--db", str(path))
+    assert code == 3 and out == ""
+    assert "sum to 15, the sphere table records 24" in err
+
+
 def test_bad_matrix_text(capsys, g3_db):
     code, _, err = invoke(capsys, "dist", "--db", g3_db, "--matrix", "11,11")
     assert code == 1

@@ -1,5 +1,6 @@
 """Essential-index classification, polynomial extraction and evaluation."""
 
+import dataclasses
 import random
 
 import pytest
@@ -88,6 +89,14 @@ def test_cells_sum_to_spheres(explored):
 def test_classify_rejects_non_canonical_keys(off_canonical):
     with pytest.raises(ConsistencyError, match="not canonical"):
         classify(off_canonical)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_classify_rejects_a_result_under_the_wrong_spec(explored, n):
+    # sym-ti keys are sym-minimal too, so only the level sums can tell
+    res = dataclasses.replace(explored(n, IsometrySpec.SYM_TI), spec=IsometrySpec.SYM)
+    with pytest.raises(ConsistencyError, match="orbit sizes at distance 2 sum to"):
+        classify(res)
 
 
 def test_essential_counts_batch_matches_scalar():

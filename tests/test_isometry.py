@@ -5,7 +5,7 @@ import random
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -26,18 +26,19 @@ from cnotcayley.gf2 import (
     transpose_inverse,
     transvection_matrix,
 )
-from cnotcayley.bfs import _successors
-from cnotcayley.errors import SingularError
+from cnotcayley.errors import ConsistencyError, SingularError
 from cnotcayley.isometry import (
     IsometrySpec,
     _min_stab_matmul,
     _min_stab_one,
     _min_stab_search,
+    _successors,
     _tables,
     act,
     canonicalize,
     canonicalize_batch,
     canonicalize_reference,
+    canonicalize_successors,
     successor_orbits,
     transpose_inverse_keys,
 )
@@ -313,6 +314,16 @@ def test_ti_keys_random_invertibles(n):
     assert np.array_equal(transpose_inverse_keys(keys, n), scalar_ti(keys, n))
 
 
+@pytest.mark.parametrize("n", [1, 3, 5, 8])
+def test_ti_keys_agree_on_both_sides_of_the_scalar_cutoff(n):
+    cut = isometry._SCALAR_TI_KEYS
+    keys = random_keys(n, cut + 1, 20 + n)
+    for count in (1, cut - 1, cut, cut + 1):
+        out = transpose_inverse_keys(keys[:count], n)
+        assert out.dtype == np.uint64
+        assert np.array_equal(out, scalar_ti(keys[:count], n))
+
+
 def test_ti_keys_empty():
     out = transpose_inverse_keys(np.empty(0, dtype=np.uint64), 5)
     assert out.dtype == np.uint64 and out.size == 0
@@ -325,6 +336,10 @@ def test_ti_keys_singular_in_batch_raises():
     assert gf2._rank_bits(int(keys[31]), 5) == 4
     with pytest.raises(SingularError):
         transpose_inverse_keys(keys, 5)
+    # the scalar path of a few keys raises the same error
+    assert isometry._SCALAR_TI_KEYS > 2
+    with pytest.raises(SingularError):
+        transpose_inverse_keys(keys[30:32], 5)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -333,61 +348,117 @@ def test_swapped_successors_of_ti_are_ti_of_successors(n):
     derived = _successors(transpose_inverse_keys(frontier, n), n, swap=True)
     direct = transpose_inverse_keys(_successors(frontier, n), n)
     assert np.array_equal(derived, direct)
+    # a slice of generators gives the matching slice of the layout
+    gens = slice(1, 3)
+    assert np.array_equal(_successors(frontier, n, gens),
+                          _successors(frontier, n)[frontier.size:3 * frontier.size])
+
+
+# ---------------------------------------------------------------------------
+# successors canonicalized tile by tile
+# ---------------------------------------------------------------------------
+
+
+def assert_successors_match_batch(keys, n, spec, executor=None):
+    canon, sizes = canonicalize_successors(keys, n, spec, executor)
+    assert canon.dtype == sizes.dtype == np.uint64
+    ref_canon, ref_sizes = canonicalize_batch(_successors(keys, n), n, spec)
+    assert np.array_equal(canon, ref_canon)
+    assert np.array_equal(sizes, ref_sizes)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_successors_match_batch_of_successors(n):
+    # 0 keys, 1 key, a few, and more than one chunk of successors
+    chunk = isometry._chunk_size(n)
+    for count in (0, 1, 5, (chunk // max(1, n * (n - 1))) + 3):
+        keys = random_keys(n, count, 150 + n)
+        for spec in (SYM, SYM_TI):
+            assert_successors_match_batch(keys, n, spec)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_batch_with_given_ti_matches_default(threads):
+    # canonicalize_successors derives the successors' TIs from the
+    # keys' TIs; canonicalize_batch inverts every successor itself
     for n, count in ((3, 100), (5, 300), (7, 60)):
-        keys = _successors(random_keys(n, count, 60 + n), n)
+        keys = random_keys(n, count, 60 + n)
         if n == 7:
-            # the executor path slices ti only when the batch spans chunks
-            assert keys.size > _tables(n).chunk
-        ti = transpose_inverse_keys(keys, n)
+            # the executor runs tiles only when the successors span chunks
+            assert keys.size * n * (n - 1) > _tables(n).chunk
         with ThreadPoolExecutor(threads) as ex:
-            executor = ex if threads > 1 else None
-            default = canonicalize_batch(keys, n, SYM_TI, executor)
-            given = canonicalize_batch(keys, n, SYM_TI, executor, ti=ti)
-        assert np.array_equal(default[0], given[0])
-        assert np.array_equal(default[1], given[1])
+            assert_successors_match_batch(keys, n, SYM_TI, ex if threads > 1 else None)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_results_do_not_depend_on_chunk_size(monkeypatch, n):
     # chunks of 1 and 7 keys fill the outputs slice by slice; a chunk
-    # larger than the batch returns the single chunk's arrays
-    keys = np.append(_successors(random_keys(n, 3, 100 + n), n), identity(n).bits)
-    given_ti = transpose_inverse_keys(keys, n)
+    # larger than the batch returns the single chunk's arrays.  With four
+    # frontier keys, chunks of 1 and 3 cut the successors into runs of
+    # keys under one generator, chunks of 7 and 9 into one and two whole
+    # generators over all keys
+    frontier = np.append(random_keys(n, 3, 100 + n), np.uint64(identity(n).bits))
+    keys = _successors(frontier, n)
     expected = {}
     for spec in (SYM, SYM_TI):
         infos = [canonicalize(BitMatrix(n, int(k)), spec) for k in keys]
         expected[spec] = ([i.key.bits for i in infos], [i.orbit_size for i in infos])
-    for size in (keys.size + 1, 1, 7):
+    for size in (keys.size + 1, 1, 3, 7, 9):
         if n <= isometry._MATMUL_MAX_ORDER:
             monkeypatch.setattr(_tables(n), "chunk", size)
         else:
             monkeypatch.setattr(isometry, "_SEARCH_CHUNK", size)
-        for spec, threads, ti in product((SYM, SYM_TI), (1, 2), (None, given_ti)):
-            with ThreadPoolExecutor(threads) as ex:
-                canon, sizes = canonicalize_batch(keys, n, spec,
-                                                  ex if threads > 1 else None, ti=ti)
+        for spec in (SYM, SYM_TI):
+            canon, sizes = canonicalize_batch(keys, n, spec)
             assert canon.dtype == sizes.dtype == np.uint64
             assert (canon.tolist(), sizes.tolist()) == expected[spec]
+            for threads in (1, 2):
+                with ThreadPoolExecutor(threads) as ex:
+                    canon, sizes = canonicalize_successors(frontier, n, spec,
+                                                           ex if threads > 1 else None)
+                assert canon.dtype == sizes.dtype == np.uint64
+                assert (canon.tolist(), sizes.tolist()) == expected[spec]
+
+
+def test_successor_tiles_reraise_a_workers_error(monkeypatch):
+    keys = random_keys(4, 100, 170)
+    real = isometry._canonicalize_chunk
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ConsistencyError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(isometry, "_canonicalize_chunk", failing)
+    # one tile per generator
+    monkeypatch.setattr(_tables(4), "chunk", keys.size)
+    with ThreadPoolExecutor(2) as ex:
+        with pytest.raises(ConsistencyError, match="injected"):
+            canonicalize_successors(keys, 4, SYM, ex)
+    # under sym-ti a singular key is refused when the keys are inverted
+    keys[7] = 0
+    with pytest.raises(SingularError):
+        canonicalize_successors(keys, 4, SYM_TI)
 
 
 @pytest.mark.parametrize("spec", [SYM, SYM_TI])
 def test_batch_memory_stays_chunk_sized(spec):
-    # 102,000 successors at n=6: the peak is the two outputs plus one
-    # chunk's working set, not an image plane for the whole batch
-    keys = _successors(random_keys(6, 3400, 130), 6)
-    ti = transpose_inverse_keys(keys, 6) if spec.uses_ti else None
+    # the 102,000 successors of 3,400 keys at n=6: the peak is the two
+    # outputs plus one chunk's working set (measured 1.6 MiB under sym,
+    # 2.1 under sym-ti), with no successor or TI array for the whole
+    # batch and no image plane for it
+    keys = random_keys(6, 3400, 130)
     canonicalize_batch(keys[:10], 6, spec)     # tables built outside the trace
     tracemalloc.start()
     try:
-        canon, sizes = canonicalize_batch(keys, 6, spec, ti=ti)
+        canon, sizes = canonicalize_successors(keys, 6, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - (canon.nbytes + sizes.nbytes) < 6 << 20
+    assert canon.size == 30 * keys.size
+    assert peak - (canon.nbytes + sizes.nbytes) < 1.25 * isometry._PLANE_BYTES
 
 
 @pytest.mark.parametrize("spec", [SYM, SYM_TI])
@@ -583,12 +654,6 @@ def test_order8_builds_no_permutation_table(monkeypatch):
     assert built == []
     canonicalize(identity(7), SYM)
     assert built == [7]
-
-
-def test_batch_rejects_misaligned_ti():
-    keys = random_keys(4, 10, 70)
-    with pytest.raises(ValueError):
-        canonicalize_batch(keys, 4, SYM_TI, ti=keys[:5])
 
 
 # ---------------------------------------------------------------------------

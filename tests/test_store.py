@@ -10,7 +10,7 @@ from cnotcayley import store
 from cnotcayley.bfs import distance_of, isometry_bfs
 from cnotcayley.errors import DatabaseError, HorizonError
 from cnotcayley.gf2 import BitMatrix, identity, parse_matrix, random_invertible
-from cnotcayley.isometry import IsometrySpec
+from cnotcayley.isometry import IsometrySpec, canonicalize
 
 # SHA-256 of complete saved databases, frozen from the implementation
 # that computed every transpose-inverse with the scalar F2 inverse.
@@ -178,6 +178,45 @@ def test_complete_requires_last_level_complete(explored, tmp_path):
         store.load(bad)
     with pytest.raises(DatabaseError, match="last level marked inexact"):
         store.lookup(bad, identity(3))
+
+
+@pytest.mark.parametrize("offset", [12, 13])
+def test_flag_bytes_are_zero_or_one(g3_blob, tmp_path, offset):
+    # byte 12 is the complete flag, byte 13 the last-level-complete flag;
+    # both are 1 here, so any other nonzero value read as true before
+    bad = tmp_path / "bad.db"
+    for value in (0x02, 0x7F, 0x81, 0xFF):
+        g3_blob[offset] = value
+        bad.write_bytes(g3_blob)
+        with pytest.raises(DatabaseError, match="not 0 or 1"):
+            store.load(bad)
+        with pytest.raises(DatabaseError, match="not 0 or 1"):
+            store.lookup(bad, identity(3))
+
+
+def test_lookup_checks_the_distance_it_finds(explored, tmp_path):
+    res = explored(3, IsometrySpec.SYM_TI)
+    path = tmp_path / "g3.db"
+    store.save(res, path)
+    m = parse_matrix("111,010,011")
+    assert store.lookup(path, m) == 2
+    blob = bytearray(path.read_bytes())
+    # the record of m's canonical key: its distance byte ends it
+    idx = int(np.searchsorted(res.keys, np.uint64(canonicalize(m, res.spec).key.bits)))
+    at = len(blob) - 9 * (res.keys.size - idx) + 8
+    assert at == 277 and blob[at] == 2 and len(res.sphere_sizes) == 7
+    bad = tmp_path / "bad.db"
+    for value in (7, 0x7F, 0x82, 0xFF):
+        blob[at] = value
+        bad.write_bytes(blob)
+        with pytest.raises(DatabaseError, match=f"distance {value} beyond the 7"):
+            store.lookup(bad, m)
+    # a distance moved within range is seen only by a full load
+    blob[at] = 3
+    bad.write_bytes(blob)
+    assert store.lookup(bad, m) == 3
+    with pytest.raises(DatabaseError, match="histogram"):
+        store.load(bad)
 
 
 def test_key_wider_than_the_order(g3_blob, tmp_path):
