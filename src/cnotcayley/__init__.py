@@ -26,6 +26,7 @@ from .errors import (
     DimensionError,
     FormatError,
     HorizonError,
+    MissingRecordError,
     OrderError,
     SingularError,
 )

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import FormatError, HorizonError, OrderError
+from .errors import FormatError, HorizonError, MissingRecordError, OrderError
 
 
 def gl_order(n: int) -> int:
@@ -62,7 +62,7 @@ class SphereProfile:
         prov = ["exact"]
         for d in range(1, k + 1):
             if d not in coeffs:
-                raise HorizonError(f"no degree-{d} coefficient record")
+                raise MissingRecordError(f"no degree-{d} coefficient record")
             c = coeffs[d]
             if not c.valid_at(n):
                 raise OrderError(

@@ -3,9 +3,18 @@
 One verb per capability: explore, dist, synth, perm-check, classify,
 poly-extract, poly-eval, diam-bound, n0-search, bidir, db-info.
 Machine-readable output (CSV by default, JSON with --json) goes to
-stdout; progress and human context go to stderr.  Exit status: 0
-success, 1 usage error, 2 truncated or incomplete result, 3 internal
-consistency failure.
+stdout; progress and human context go to stderr.  Exit status, for
+every verb:
+
+0  success;
+1  usage error or bad input: options, matrix, permutation or
+   coefficient text, a coefficient record the file lacks, an order out
+   of range, an unreadable or corrupt database;
+2  truncated or incomplete result: an exploration short of the whole
+   group, a matrix beyond a database's horizon, a bidir lower bound,
+   an n0-search range that never crosses;
+3  internal consistency failure: non-canonical or mislabelled database
+   keys, a perm-check row that disagrees with the conjecture.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import sys
 
 from . import bounds, essential, gf2, permcheck, store
 from .bfs import SearchLimits, bidirectional_distance, isometry_bfs, synthesize
-from .errors import CnotCayleyError, ConsistencyError, HorizonError
+from .errors import CnotCayleyError, ConsistencyError, HorizonError, MissingRecordError
 from .isometry import IsometrySpec
 
 EXIT_OK = 0
@@ -213,7 +222,7 @@ def _cmd_poly_extract(args) -> int:
 def _cmd_poly_eval(args) -> int:
     coeffs = essential.load_coeffs(args.coeffs)
     if args.d not in coeffs:
-        raise _UsageError(f"no degree-{args.d} record in the coefficient file")
+        raise MissingRecordError(f"no degree-{args.d} coefficient record")
     c = coeffs[args.d]
     value = essential.eval_poly(c, args.n)
     note = "certified" if c.valid_at(args.n) else "outside-certified-range"
@@ -235,6 +244,8 @@ def _cmd_diam_bound(args) -> int:
 def _cmd_n0_search(args) -> int:
     coeffs = essential.load_coeffs(args.coeffs)
     n_min = args.n_min if args.n_min is not None else 2 * args.k
+    if n_min > args.n_max:
+        raise _UsageError(f"empty search range: n from {n_min} to {args.n_max}")
     n0 = bounds.n0_upper(args.k, coeffs, range(n_min, args.n_max + 1))
     if n0 is None:
         _emit(args, "n0\nnone\n", {"n0": None})

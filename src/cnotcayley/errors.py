@@ -29,6 +29,14 @@ class HorizonError(CnotCayleyError, LookupError):
     """
 
 
+class MissingRecordError(CnotCayleyError, LookupError):
+    """A coefficient file has no record of the degree a request needs.
+
+    Bad input, like a malformed record: the file falls short, not an
+    exploration's horizon.
+    """
+
+
 class ConsistencyError(CnotCayleyError, RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 

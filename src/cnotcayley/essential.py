@@ -81,30 +81,37 @@ def essential_counts_batch(keys: np.ndarray, n: int) -> np.ndarray:
     return np.bitwise_count(rows_hit | cols_hit).astype(np.int64)
 
 
+# stored keys classified per block: the block's canonical keys, sizes
+# and essential counts are the only temporaries that grow with a result
+_BLOCK = 1 << 14
+
+
 def classify(res: ExplorationResult) -> EssentialClassTable:
     """Tally orbit sizes into (distance, essential-count) cells.
 
     Only levels with exact sphere sizes are classified.  Orbit sizes are
     recomputed from the stored keys, which must be canonical, and must
     sum per level to the recorded sphere size: keys reduced under another
-    isometry spec than the recorded one fail there.
+    isometry spec than the recorded one fail there.  Keys are taken in
+    blocks, so memory beyond the result stays at one block's worth.
     """
+    n = res.n
     d_max = res.max_exact_depth
-    mask = res.dists <= d_max
-    keys = res.keys[mask]
-    dists = res.dists[mask]
-    canon, sizes = canonicalize_batch(keys, res.n, res.spec)
-    if not np.array_equal(canon, keys):
-        raise ConsistencyError("stored keys are not canonical")
-    counts = essential_counts_batch(keys, res.n)
-    cells: dict[tuple[int, int], int] = {}
-    for d in range(d_max + 1):
-        at_d = dists == d
-        for m in np.unique(counts[at_d]):
-            sel = at_d & (counts == m)
-            # orbit sizes <= 2*8! and |GL(8,2)| < 2^63, so uint64 is safe
-            cells[(d, int(m))] = int(sizes[sel].sum(dtype=np.uint64))
-    table = EssentialClassTable(n=res.n, spec=res.spec, d_max=d_max, cells=cells)
+    # totals[d, m]: elements at distance d with m essential indices;
+    # orbit sizes <= 2*8! and |GL(8,2)| < 2^63, so uint64 is exact
+    totals = np.zeros((d_max + 1, n + 1), dtype=np.uint64)
+    for s in range(0, res.keys.size, _BLOCK):
+        exact = res.dists[s:s + _BLOCK] <= d_max
+        keys = res.keys[s:s + _BLOCK][exact]
+        dists = res.dists[s:s + _BLOCK][exact]
+        canon, sizes = canonicalize_batch(keys, n, res.spec)
+        if not np.array_equal(canon, keys):
+            raise ConsistencyError("stored keys are not canonical")
+        cell = dists * np.intp(n + 1) + essential_counts_batch(keys, n)
+        np.add.at(totals.reshape(-1), cell, sizes)
+    cells = {(d, m): int(totals[d, m])
+             for d in range(d_max + 1) for m in range(n + 1) if totals[d, m]}
+    table = EssentialClassTable(n=n, spec=res.spec, d_max=d_max, cells=cells)
     for d in range(d_max + 1):
         level = table.sphere_size(d)
         if level != res.sphere_sizes[d]:

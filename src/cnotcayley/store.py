@@ -109,24 +109,38 @@ def _read_layout(fh) -> _Layout:
                    orbit_counts, sphere_sizes, entry_count, offset)
 
 
+# entries read per slice by ``load``; the slice buffer and the checks'
+# temporaries are the only memory beyond the result
+_SLICE = 1 << 14
+
+
 def load(path) -> ExplorationResult:
     """Read a database back into an ExplorationResult after checking
     the entries against the sphere table."""
     with open(path, "rb") as fh:
         lay = _read_layout(fh)
-        entries = np.frombuffer(fh.read(), dtype=_ENTRY_DTYPE)
-    keys = entries["key"].copy()
-    dists = entries["dist"].copy()
-    levels = len(lay.orbit_counts)
-    if keys.size and np.any(keys[1:] <= keys[:-1]):
-        raise DatabaseError("entries are not strictly sorted by key")
+        levels = len(lay.orbit_counts)
+        keys = np.empty(lay.entry_count, dtype=np.uint64)
+        dists = np.empty(lay.entry_count, dtype=np.uint8)
+        histogram = np.zeros(levels, dtype=np.int64)
+        buf = np.empty(min(lay.entry_count, _SLICE), dtype=_ENTRY_DTYPE)
+        for s in range(0, lay.entry_count, _SLICE):
+            part = buf[:min(_SLICE, lay.entry_count - s)]
+            if fh.readinto(part.view(np.uint8)) != part.nbytes:
+                raise DatabaseError("entry block shorter than its header says")
+            k, d = keys[s:s + part.size], dists[s:s + part.size]
+            k[:], d[:] = part["key"], part["dist"]
+            # a slice is checked with the last key of the one before it
+            if np.any(k[1:] <= k[:-1]) or (s and k[0] <= keys[s - 1]):
+                raise DatabaseError("entries are not strictly sorted by key")
+            if int(d.max()) >= levels:
+                raise DatabaseError(f"distance {int(d.max())} beyond the "
+                                    f"{levels} recorded levels")
+            histogram += np.bincount(d, minlength=levels)
     if keys.size and int(keys[-1]) >> (lay.n * lay.n):
         raise DatabaseError(f"key {int(keys[-1]):#x} has bits beyond an "
                             f"order-{lay.n} matrix")
-    if dists.size and int(dists.max()) >= levels:
-        raise DatabaseError(f"distance {int(dists.max())} beyond the "
-                            f"{levels} recorded levels")
-    if np.bincount(dists, minlength=levels).tolist() != lay.orbit_counts:
+    if histogram.tolist() != lay.orbit_counts:
         raise DatabaseError("distance histogram does not match the orbit counts")
     return ExplorationResult(
         n=lay.n, spec=lay.spec, keys=keys, dists=dists,

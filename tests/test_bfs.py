@@ -141,8 +141,8 @@ def test_known_distances(explored):
 
 
 def test_order6_prefix_matches_published():
-    # the full order-6 run is hours-scale; its first seven levels are
-    # seconds and already cross-check millions of elements
+    # the full order-6 run takes about 20 minutes; its first seven
+    # levels take a second and already cross-check millions of elements
     res = isometry_bfs(6, limits=SearchLimits(max_depth=6))
     assert res.sphere_sizes == [1, 30, 570, 8415, 101610, 1026852, 8747890]
     assert res.orbit_counts == [1, 1, 6, 32, 228, 1767, 13425]

@@ -13,7 +13,7 @@ from cnotcayley.bounds import (
     quadratic_bound_exceeds,
     quadratic_crossing,
 )
-from cnotcayley.errors import FormatError, HorizonError, OrderError
+from cnotcayley.errors import FormatError, HorizonError, MissingRecordError, OrderError
 from cnotcayley.essential import PolyCoeffs, load_coeffs
 from cnotcayley.permcheck import partitions
 
@@ -59,6 +59,12 @@ def test_profile_validity_restriction():
     coeffs = load_coeffs()
     with pytest.raises(OrderError):
         SphereProfile.from_coeffs(coeffs, 5, 3)  # needs n >= 6
+
+
+def test_profile_needs_every_record():
+    # the published table stops at d = 10: an input error, not a horizon
+    with pytest.raises(MissingRecordError, match="no degree-11"):
+        SphereProfile.from_coeffs(load_coeffs(), 30, 11)
 
 
 def test_profile_needs_exact_depth(explored):

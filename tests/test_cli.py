@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cnotcayley
-from cnotcayley.cli import run
+from cnotcayley.cli import _COMMANDS, run
 
 
 def invoke(capsys, *argv):
@@ -314,3 +314,48 @@ def test_poly_extract_full_isometry(capsys):
                           "--isometry", "sym-ti")
     assert code == 0
     assert out.strip() == "2,0,0,2,18,12"
+
+
+# every verb on an input that succeeds and on one that fails, with the
+# exit code the module docstring and the README document for it
+EXIT_CODES = {
+    "explore": (("--n", "3"), ("--n", "4", "--max-depth", "2"), 2),
+    "dist": (("--db", "{db}", "--matrix", "111,010,011"),
+             ("--db", "{shallow}", "--matrix", "111,010,011"), 2),
+    "synth": (("--db", "{db}", "--matrix", "111,010,011"),
+              ("--db", "{db}", "--matrix", "11,11"), 1),
+    "perm-check": (("--n", "3"), ("--n", "9"), 1),
+    "classify": (("--db", "{db}"), ("--db", "{off}"), 3),
+    "poly-extract": (("--d", "2"), ("--d", "2", "--db", "{db}"), 1),
+    "poly-eval": (("--d", "3", "--n", "7"), ("--d", "11", "--n", "30"), 1),
+    "diam-bound": (("--k", "10", "--n", "20"), ("--k", "11", "--n", "30"), 1),
+    "n0-search": (("--k", "10", "--n-max", "40"),
+                  ("--k", "1", "--n-min", "5", "--n-max", "3"), 1),
+    "bidir": (("--n", "4", "--perm", "(1 2 3 4)", "--fwd", "5", "--bwd", "4"),
+              ("--n", "4", "--perm", "(1 2 3 4)", "--fwd", "2", "--bwd", "2"), 2),
+    "db-info": (("--db", "{db}"), ("--db", "{short}"), 1),
+}
+
+
+@pytest.fixture(scope="module")
+def verb_files(g3_db, off_canonical, tmp_path_factory):
+    from cnotcayley import store
+    root = tmp_path_factory.mktemp("verbs")
+    shallow, off, short = root / "shallow.db", root / "off.db", root / "short.db"
+    assert run(["explore", "--n", "3", "--max-depth", "1", "--out", str(shallow)]) == 2
+    store.save(off_canonical, off)
+    short.write_bytes(Path(g3_db).read_bytes()[:-5])
+    return {"db": g3_db, "shallow": str(shallow), "off": str(off), "short": str(short)}
+
+
+def test_every_verb_is_in_the_exit_code_table():
+    assert sorted(EXIT_CODES) == sorted(_COMMANDS)
+
+
+@pytest.mark.parametrize("verb", sorted(EXIT_CODES))
+def test_exit_codes(capsys, verb_files, verb):
+    good, bad, code = EXIT_CODES[verb]
+    for argv, want in ((good, 0), (bad, code)):
+        got, _, err = invoke(capsys, verb, *(a.format(**verb_files) for a in argv))
+        assert got == want, (argv, err)
+        assert "Traceback" not in err

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cnotcayley import store
-from cnotcayley.bfs import distance_of, isometry_bfs
+from cnotcayley.bfs import SearchLimits, distance_of, isometry_bfs
 from cnotcayley.errors import DatabaseError, HorizonError
 from cnotcayley.gf2 import BitMatrix, identity, parse_matrix, random_invertible
 from cnotcayley.isometry import IsometrySpec, canonicalize
@@ -36,6 +36,17 @@ FROZEN_SHA256_ORDER8 = {
 }
 
 
+# SHA-256 of saved GL(6,2) `sym` explorations capped by max_orbits,
+# frozen from the level loop that re-sorted the next level after every
+# block of 2^20 successors.  The orbit budget is checked only at those
+# block ends: 40,000 stops after level 7 (90,507 orbits, whole but
+# flagged inexact), 200,000 in level 8 at 278,460 orbits.
+FROZEN_SHA256_CAPPED = {
+    40_000: "5c5b79900f0f94e760792a2d06dec7e218597be784faafb78c9aa9141f9f3269",
+    200_000: "af9599ca7eb95a2cb38b51ae3f02011a6870a136ab0744f1abee263626d74467",
+}
+
+
 @pytest.mark.parametrize("n, spec", sorted(FROZEN_SHA256))
 def test_saved_databases_frozen(explored, tmp_path, n, spec):
     path = tmp_path / "g.db"
@@ -49,6 +60,16 @@ def test_saved_order8_balls_frozen(explored, tmp_path, spec, depth):
     store.save(explored(8, IsometrySpec(spec), depth), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         FROZEN_SHA256_ORDER8[spec, depth]
+
+
+@pytest.mark.parametrize("max_orbits", sorted(FROZEN_SHA256_CAPPED))
+def test_saved_budget_capped_databases_frozen(tmp_path, max_orbits):
+    res = isometry_bfs(6, limits=SearchLimits(max_orbits=max_orbits))
+    assert not res.last_level_complete
+    path = tmp_path / "g.db"
+    store.save(res, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        FROZEN_SHA256_CAPPED[max_orbits]
 
 
 def test_round_trip_field_by_field(explored, tmp_path):
