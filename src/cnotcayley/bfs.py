@@ -22,11 +22,12 @@ stops *between* levels (everything recorded is complete), while an
 orbit-budget cap may stop mid-level, in which case only the last sphere
 size is a lower estimate and the result says so.
 
-Successors are built and canonicalized block by block inside
-``isometry.canonicalize_successors``, so no successor array of a whole
-block exists.  Worker threads run its tiles; partial results are
-reassembled in input order and deduplicated by value, so distances,
-sphere sizes and stored keys are identical for every thread count.
+Each block's successors are built and canonicalized inside
+``isometry.canonicalize_successors``, a tile of whole frontier keys at a
+time, so no successor array of a whole block exists.  Worker threads run
+its tiles, each writing its own slice of the output; a block's canonical
+keys are then deduplicated by value, so distances, sphere sizes and
+stored keys are identical for every thread count.
 """
 
 from __future__ import annotations
@@ -229,27 +230,22 @@ def _next_level(n, spec, prev, curr, executor, budget):
     for s in range(0, curr.size, budget_rows):
         stop = min(s + budget_rows, curr.size)
         for t in range(s, stop, rows):
-            new, sizes = _expand(curr[t:min(t + rows, stop)], n, spec, executor)
-            keep = ~_in_sorted(new, prev)
-            keep &= ~_in_sorted(new, curr)
-            keep &= ~_in_sorted(new, nxt)
+            canon, sizes = canonicalize_successors(curr[t:min(t + rows, stop)],
+                                                   n, spec, executor)
+            canon, first = np.unique(canon, return_index=True)
+            sizes = sizes[first]
+            keep = ~_in_sorted(canon, prev)
+            keep &= ~_in_sorted(canon, curr)
+            keep &= ~_in_sorted(canon, nxt)
             # kept keys are new to nxt, so no orbit is counted twice; orbit
             # sizes <= 2*8! and |GL(8,2)| < 2^63, so uint64 is exact
             elements += int(sizes[keep].sum(dtype=np.uint64))
             # two sorted runs, which a stable sort merges in linear time
-            nxt = np.concatenate([nxt, new[keep]])
+            nxt = np.concatenate([nxt, canon[keep]])
             nxt.sort(kind="stable")
         if budget is not None and nxt.size > budget:
             return nxt, elements, False
     return nxt, elements, True
-
-
-def _expand(block: np.ndarray, n: int, spec: IsometrySpec, executor):
-    """Distinct canonical keys one step from ``block``, sorted, with
-    their orbit sizes."""
-    canon, sizes = canonicalize_successors(block, n, spec, executor)
-    uniq, first = np.unique(canon, return_index=True)
-    return uniq, sizes[first]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ every verb:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -78,7 +79,10 @@ def _add_common(p, db=False, matrix=False, threads=False, isometry=False,
     p.add_argument("--json", action="store_true", help="JSON instead of CSV")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The whole command-line parser, built once per process: building
+    it costs a few milliseconds, far more than a parse."""
     p = _Parser(prog="cnotcayley",
                 description="exact minimal CNOT circuits via the Cayley graph of GL(n,2)")
     sub = p.add_subparsers(dest="command", required=True)

@@ -66,7 +66,11 @@ class BitMatrix:
                 for i in range(1, self.n + 1)]
 
     def is_invertible(self) -> bool:
-        return _rank_bits(self.bits, self.n) == self.n
+        try:
+            invert_bits(self.bits, self.n)
+        except SingularError:
+            return False
+        return True
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -161,26 +165,6 @@ class Circuit:
 # ---------------------------------------------------------------------------
 # bit-level helpers (also used by the vectorised layers)
 # ---------------------------------------------------------------------------
-
-
-def _rank_bits(bits: int, n: int) -> int:
-    mask = (1 << n) - 1
-    rows = [(bits >> (k * n)) & mask for k in range(n)]
-    r = 0
-    for col in range(n):
-        piv = None
-        for k in range(r, n):
-            if (rows[k] >> col) & 1:
-                piv = k
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for k in range(n):
-            if k != r and (rows[k] >> col) & 1:
-                rows[k] ^= rows[r]
-        r += 1
-    return r
 
 
 def invert_bits(bits: int, n: int) -> int:
@@ -494,6 +478,6 @@ def random_invertible(n: int, rng: Random) -> BitMatrix:
     """
     _check_order(n)
     while True:
-        bits = rng.getrandbits(n * n)
-        if _rank_bits(bits, n) == n:
-            return BitMatrix(n, bits)
+        m = BitMatrix(n, rng.getrandbits(n * n))
+        if m.is_invertible():
+            return m

@@ -60,14 +60,17 @@ matrix inversion.  ``transpose_inverse_keys`` does it as one vectorised
 Gauss-Jordan over a batch, or with the scalar ``gf2`` inverse for a
 batch of a few keys, where numpy's fixed cost per call would dominate.
 
-``canonicalize_successors`` canonicalizes the n(n-1) successors T*g of
-a set of keys without ever holding them all: it cuts their
-generator-major layout into tiles of at most one chunk and builds each
-tile's successors by broadcast row shifts.  Under ``sym-ti`` it avoids
-inverting them too: TI is a graph automorphism with TI(T[i,j]*g) =
-T[j,i]*TI(g), so it inverts each key once and derives the TI of every
-successor in the tile by swapped row shifts.  Tiles, not whole
-batches, are also what a worker pool runs concurrently.
+``canonicalize_batch`` and ``canonicalize_successors`` share one tiled
+path (``_tiled``): a batch is cut into contiguous tiles of at most one
+chunk, run serially or on a worker pool, each writing its own slice of
+the outputs.  ``canonicalize_successors`` canonicalizes the n(n-1)
+successors T*g of a set of keys without ever holding them all: they are
+laid out key-major, so a tile is the successors of a run of whole keys,
+built by broadcast row shifts.  Under a TI spec both invert their keys
+once per call; ``canonicalize_successors`` avoids inverting the
+successors too: TI is a graph automorphism with TI(T[i,j]*g) =
+T[j,i]*TI(g), so each tile derives the TI of every successor from its
+keys' TIs by swapped row shifts.
 """
 
 from __future__ import annotations
@@ -184,7 +187,7 @@ _MATMUL_MAX_ORDER = 7
 # keys per search chunk.  Random keys keep a few live branches each,
 # near-identity keys up to a few hundred (540 at most among the depth-5
 # successors of GL(8,2)); a whole chunk of that worst key peaks at
-# ~85 MB RSS.
+# ~60 MB RSS.
 _SEARCH_CHUNK = 1024
 
 
@@ -209,11 +212,14 @@ def transpose_inverse_keys(keys: np.ndarray, n: int) -> np.ndarray:
                         dtype=np.uint64)
     nb = np.uint64(n)
     idx = np.arange(n, dtype=np.uint64)
-    # entry (i, j) of every key at bits[i, j]
-    bits = ((keys[None, :] >> np.arange(n * n, dtype=np.uint64)[:, None])
-            & _U1).reshape(n, n, keys.size)
-    aug = np.bitwise_or.reduce(bits << idx[:, None, None], axis=0)
-    aug |= (_U1 << (idx + nb))[:, None]
+    aug = np.repeat((_U1 << (idx + nb))[:, None], keys.size, axis=1)
+    # entry (i, j) of every key to bit i of row j, one source row at a
+    # time, so that no (n*n, B) array of bits exists
+    for i in range(n):
+        bits = keys[None, :] >> (idx + np.uint64(i * n))[:, None]
+        bits &= _U1
+        bits <<= np.uint64(i)
+        aug |= bits
     for c in range(n):
         cb = np.uint64(c)
         # bring a pivot into row c by adding the first row below that has one
@@ -346,44 +352,52 @@ def _min_stab_search(keys: np.ndarray, ti: np.ndarray | None, n: int):
     rank = np.broadcast_to(np.arange(n, dtype=np.uint8), cells.shape)
     bit = np.left_shift(np.uint8(1), np.arange(n, dtype=np.uint8))
     firsts = np.arange(b)
-    canon = np.zeros(b, dtype=np.uint64)
+    # row p of every key's canonical image, packed once at the end
+    best_rows = np.empty((b, n), dtype=np.uint8)
     for p in range(n - 1, -1, -1):
-        cell = cells[:, p, None]
-        par, i = np.nonzero(((cell & bit) != 0) & ((cell & lower[group]) == 0))
-        row = src_rows[src[par], i][:, None]
-        rest = cells[par] & ~bit[i][:, None]
-        ones = rest & row
-        count = _POPCOUNT8[ones]
-        prank = rank[par]
+        # a child takes an index i of p's cell none of whose lower twins
+        # is still in it
+        par, i = np.nonzero((cells[:, p, None] & (bit | lower[group])) == bit)
+        row, fixed = src_rows[src[par], i], bit[i]
+        # the children's arrays set the search's peak memory, so few of
+        # them are alive at once; par and i are views of one buffer
+        par = par.copy()
+        del i
+        # the ones of each cell but i's, which position p takes
+        ones = cells[par] & (row & ~fixed)[:, None]
         # the ones of a cell take its lowest positions; a fixed position is
         # a singleton of rank 0, so it shows its own bit of the row
-        low = prank < count
-        low[:, p] = (row[:, 0] & bit[i]) != 0
+        # (0/1 bytes, formed in place over the popcounts)
+        low = _POPCOUNT8[ones]
+        np.greater(low, rank[par], out=low)
+        low[:, p] = (row & fixed) != 0
         value = np.packbits(low, axis=1, bitorder="little")[:, 0]
         # every key keeps a branch and every branch has a child, so the
         # children's groups run through 0..b-1 in order
-        cgroup = group[par]
-        best = np.minimum.reduceat(value, np.searchsorted(cgroup, firsts))
-        canon |= best.astype(np.uint64) << np.uint64(p * n)
-        keep = np.flatnonzero(value == best[cgroup])
-        low, ones, count, prank = low[keep], ones[keep], count[keep], prank[keep]
-        cells = np.where(low, ones, rest[keep] ^ ones)
-        rank = np.where(low, prank, prank - count)
-        cells[:, p] = bit[i[keep]]
+        group = group[par]
+        best = np.minimum.reduceat(value, np.searchsorted(group, firsts))
+        best_rows[:, p] = best
+        keep = np.flatnonzero(value == best[group])
+        group, par = group[keep], par[keep]
+        ones, low = ones[keep], low[keep]
+        prank = rank[par]
+        # a cell splits into its ones, low, and its zeros but i, high
+        cells = np.where(low, ones, cells[par] & ~(row | fixed)[keep, None])
+        rank = np.where(low, prank, prank - _POPCOUNT8[ones])
+        cells[:, p] = fixed[keep]
         rank[:, p] = 0
-        group, src = cgroup[keep], src[par[keep]]
+        src = src[par]
+        # free the children before the next position forms its own
+        del par, row, fixed, ones, low, value, keep, prank
+    canon = np.bitwise_or.reduce(best_rows.astype(np.uint64)
+                                 << np.arange(0, n * n, n, dtype=np.uint64), axis=1)
     return canon, np.bincount(group, minlength=b).astype(np.uint64) * weight
 
 
-def _canonicalize_chunk(keys: np.ndarray, n: int, spec: IsometrySpec,
-                        ti: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical keys and orbit sizes of one chunk.  Under a TI spec,
-    ``ti`` holds the keys' transpose-inverses if the caller derived
-    them; it is computed here otherwise."""
-    if not spec.uses_ti:
-        ti = None
-    elif ti is None:
-        ti = transpose_inverse_keys(keys, n)
+def _canonicalize_chunk(keys: np.ndarray, ti: np.ndarray | None, n: int,
+                        spec: IsometrySpec) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical keys and orbit sizes of one chunk, given the keys'
+    transpose-inverses under a TI spec and None otherwise."""
     if n <= _MATMUL_MAX_ORDER:
         canon, stab = _min_stab_matmul(keys, ti, _tables(n))
     else:
@@ -399,57 +413,75 @@ def _chunk_size(n: int) -> int:
     return _tables(n).chunk if n <= _MATMUL_MAX_ORDER else _SEARCH_CHUNK
 
 
+def _tiled(count: int, size: int, tile, executor=None) -> tuple[np.ndarray, np.ndarray]:
+    """The (canonical keys, orbit sizes) of ``tile(part)`` over the
+    contiguous parts of range(count), each of at most ``size``, laid end
+    to end.  Parts run serially or, given an executor, concurrently,
+    each writing its own slice of the outputs, so the output never
+    depends on scheduling.  A single part's arrays are returned as they
+    are."""
+    if count <= size:
+        return tile(slice(0, count))
+    canon = np.empty(count, dtype=np.uint64)
+    sizes = np.empty(count, dtype=np.uint64)
+
+    def fill(start: int) -> None:
+        part = slice(start, min(start + size, count))
+        canon[part], sizes[part] = tile(part)
+
+    starts = range(0, count, size)
+    if executor is None:
+        for start in starts:
+            fill(start)
+    else:
+        # reading every result re-raises a worker's exception here
+        list(executor.map(fill, starts))
+    return canon, sizes
+
+
 def canonicalize_batch(keys: np.ndarray, n: int, spec: IsometrySpec
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical keys and exact orbit sizes for an array of packed values.
 
     Pure function of the inputs; chunked internally so that each chunk's
-    working set stays in cache.  A batch of one chunk returns that
-    chunk's arrays as they are.
+    working set stays in cache.  Under a TI spec the keys are inverted
+    once for the whole batch.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     if n == 0 or keys.size == 0:
         return keys.copy(), np.ones(keys.size, dtype=np.uint64)
-    size = _chunk_size(n)
-    if keys.size <= size:
-        return _canonicalize_chunk(keys, n, spec)
-    canon = np.empty_like(keys)
-    sizes = np.empty_like(keys)
-    for start in range(0, keys.size, size):
-        part = slice(start, start + size)
-        canon[part], sizes[part] = _canonicalize_chunk(keys[part], n, spec)
-    return canon, sizes
+    ti = transpose_inverse_keys(keys, n) if spec.uses_ti else None
+    return _tiled(keys.size, _chunk_size(n), lambda part: _canonicalize_chunk(
+        keys[part], None if ti is None else ti[part], n, spec))
 
 
 @lru_cache(maxsize=None)
 def _transvection_shifts(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(target-row shift, source-row shift) columns, one row per
-    generator in (i, j) lex order; read-only, since they are shared."""
-    shifts = np.array([((t.i - 1) * n, (t.j - 1) * n)
-                       for t in gf2.all_transvections(n)],
-                      dtype=np.uint64).reshape(-1, 2)
+    """(target-row shifts, source-row shifts), one entry per generator in
+    (i, j) lex order; read-only, since they are shared."""
+    gens = gf2.all_transvections(n)
+    shifts = np.array([[(t.i - 1) * n for t in gens], [(t.j - 1) * n for t in gens]],
+                      dtype=np.uint64)
     shifts.flags.writeable = False
-    return shifts[:, 0:1], shifts[:, 1:2]
+    return shifts[0], shifts[1]
 
 
-def _successors(keys: np.ndarray, n: int, gens: slice = slice(None),
-                swap: bool = False) -> np.ndarray:
-    """T*g for every generator T in ``gens``, a slice of the (i, j) lex
-    order, and every g in keys, laid out generator-major: the slice
-    [t*B:(t+1)*B] holds the t-th of those generators applied to every key.
+def _successors(keys: np.ndarray, n: int, swap: bool = False) -> np.ndarray:
+    """T*g for every g in keys and every generator T, laid out key-major:
+    the slice [k*G:(k+1)*G] holds the G = n(n-1) successors of the k-th
+    key, generators in (i, j) lex order.
 
     ``swap=True`` applies T[j,i] in the slot of T[i,j].  Since
     TI(T[i,j]*g) = T[j,i]*TI(g), swapped successors of TI(keys) are the
     transpose-inverses of the successors of keys, slot for slot.
     """
     ishift, jshift = _transvection_shifts(n)
-    ishift, jshift = ishift[gens], jshift[gens]
     if swap:
         ishift, jshift = jshift, ishift
-    out = keys[None, :] >> jshift
+    out = keys[:, None] >> jshift
     out &= np.uint64((1 << n) - 1)
     out <<= ishift
-    out ^= keys[None, :]
+    out ^= keys[:, None]
     return out.reshape(-1)
 
 
@@ -458,50 +490,25 @@ def canonicalize_successors(keys: np.ndarray, n: int, spec: IsometrySpec,
     """``canonicalize_batch(_successors(keys, n), n, spec)``, without
     holding the successors or their transpose-inverses.
 
-    The generator-major layout of the n(n-1)*B successors is cut into
-    contiguous tiles of at most one chunk: whole generators over all
-    keys when the keys fit in a chunk, otherwise one generator over a
-    run of keys.  Each tile builds its successors, and under a TI spec
+    The key-major layout of the n(n-1)*B successors is cut into tiles of
+    the successors of whole keys, as many as fit in one chunk and at
+    least one.  Each tile builds its successors, and under a TI spec
     derives their TIs from the keys' TIs, inverted once per call.  If an
-    executor is given, tiles run on it concurrently, each writing its
-    own slice of the outputs, so the output never depends on
-    scheduling.  A call of one tile returns that tile's arrays as they
-    are.
+    executor is given, tiles run on it concurrently.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
-    b = keys.size
     gens = n * (n - 1)
-    if b == 0 or gens == 0:
+    if keys.size == 0 or gens == 0:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
     ti = transpose_inverse_keys(keys, n) if spec.uses_ti else None
 
-    def tile(gen: slice, part: slice) -> tuple[np.ndarray, np.ndarray]:
-        return _canonicalize_chunk(
-            _successors(keys[part], n, gen), n, spec,
-            None if ti is None else _successors(ti[part], n, gen, swap=True))
+    def tile(part: slice) -> tuple[np.ndarray, np.ndarray]:
+        rows = slice(part.start // gens, part.stop // gens)
+        succ_ti = None if ti is None else _successors(ti[rows], n, swap=True)
+        return _canonicalize_chunk(_successors(keys[rows], n), succ_ti, n, spec)
 
-    size = _chunk_size(n)
-    if gens * b <= size:
-        return tile(slice(None), slice(None))
-    # (generators, keys, output slice) per tile: `step` generators over
-    # all keys, or one generator over a run of `run` keys
-    step, run = max(1, size // b), min(b, size)
-    tiles = [(slice(g, g + step), slice(s, s + run),
-              slice(g * b + s, (min(g + step, gens) - 1) * b + min(s + run, b)))
-             for g in range(0, gens, step) for s in range(0, b, run)]
-    canon = np.empty(gens * b, dtype=np.uint64)
-    sizes = np.empty(gens * b, dtype=np.uint64)
-
-    def fill(gen: slice, part: slice, out: slice) -> None:
-        canon[out], sizes[out] = tile(gen, part)
-
-    if executor is None:
-        for t in tiles:
-            fill(*t)
-    else:
-        # reading every result re-raises a worker's exception here
-        list(executor.map(fill, *zip(*tiles)))
-    return canon, sizes
+    size = max(1, _chunk_size(n) // gens) * gens
+    return _tiled(gens * keys.size, size, tile, executor)
 
 
 # ---------------------------------------------------------------------------

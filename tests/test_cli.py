@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cnotcayley
+from cnotcayley import cli
 from cnotcayley.cli import _COMMANDS, run
 
 
@@ -40,6 +41,27 @@ def test_explore_json(capsys):
     payload = json.loads(out)
     assert payload["sphere_sizes"] == ["1", "2", "2", "1"]
     assert payload["complete"] is True
+
+
+def test_run_builds_the_parser_once(monkeypatch, capsys, g3_db):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    code, out, _ = invoke(capsys, "dist", "--db", g3_db, "--matrix", "111,010,011",
+                          "--json")
+    assert code == 0 and json.loads(out) == {"distance": 2}
+    assert built
+    first = len(built)
+    # the same parser answers again, and --json does not carry over
+    code, out, _ = invoke(capsys, "dist", "--db", g3_db, "--matrix", "111,010,011")
+    assert code == 0 and out == "distance\n2\n"
+    assert len(built) == first
 
 
 def test_explore_truncated_exit_code(capsys):

@@ -52,7 +52,7 @@ def enumerate_group(n):
     of every exploration code path.  Tractable for n <= 4."""
     out = []
     for bits in range(1 << (n * n)):
-        if gf2._rank_bits(bits, n) == n:
+        if BitMatrix(n, bits).is_invertible():
             out.append(bits)
     return out
 
@@ -333,7 +333,7 @@ def test_ti_keys_singular_in_batch_raises():
     keys = random_keys(5, 50, 7)
     # rows e1, e2, e3, e4, e4: rank 4, so only the last column lacks a pivot
     keys[31] = sum(1 << (5 * i + min(i, 3)) for i in range(5))
-    assert gf2._rank_bits(int(keys[31]), 5) == 4
+    assert not BitMatrix(5, int(keys[31])).is_invertible()
     with pytest.raises(SingularError):
         transpose_inverse_keys(keys, 5)
     # the scalar path of a few keys raises the same error
@@ -348,10 +348,28 @@ def test_swapped_successors_of_ti_are_ti_of_successors(n):
     derived = _successors(transpose_inverse_keys(frontier, n), n, swap=True)
     direct = transpose_inverse_keys(_successors(frontier, n), n)
     assert np.array_equal(derived, direct)
-    # a slice of generators gives the matching slice of the layout
-    gens = slice(1, 3)
-    assert np.array_equal(_successors(frontier, n, gens),
-                          _successors(frontier, n)[frontier.size:3 * frontier.size])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_successors_are_key_major_in_generator_order(n):
+    # bfs._neighbor_distances and synthesize read the successors of one
+    # key in the (i, j) lex order of all_transvections
+    frontier = np.append(random_keys(n, 5, 40 + n), np.uint64(identity(n).bits))
+    gens = all_transvections(n)
+    succ = _successors(frontier, n)
+    assert succ.size == len(gens) * frontier.size
+    for k, key in enumerate(frontier.tolist()):
+        m = BitMatrix(n, key)
+        assert succ[k * len(gens):(k + 1) * len(gens)].tolist() == [
+            apply_transvection(t, m).bits for t in gens]
+    for spec in (SYM, SYM_TI):
+        for key in frontier[[0, -1]].tolist():
+            m = BitMatrix(n, key)
+            canon, sizes = canonicalize_successors(np.array([key], dtype=np.uint64),
+                                                   n, spec)
+            infos = [canonicalize(apply_transvection(t, m), spec) for t in gens]
+            assert canon.tolist() == [i.key.bits for i in infos]
+            assert sizes.tolist() == [i.orbit_size for i in infos]
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +412,16 @@ def test_batch_with_given_ti_matches_default(threads):
 def test_results_do_not_depend_on_chunk_size(monkeypatch, n):
     # chunks of 1 and 7 keys fill the outputs slice by slice; a chunk
     # larger than the batch returns the single chunk's arrays.  With four
-    # frontier keys, chunks of 1 and 3 cut the successors into runs of
-    # keys under one generator, chunks of 7 and 9 into one and two whole
-    # generators over all keys
+    # frontier keys, chunks smaller than one key's successors give tiles
+    # of one key each, and a chunk of three keys' successors gives tiles
+    # of three keys and of one
     frontier = np.append(random_keys(n, 3, 100 + n), np.uint64(identity(n).bits))
     keys = _successors(frontier, n)
     expected = {}
     for spec in (SYM, SYM_TI):
         infos = [canonicalize(BitMatrix(n, int(k)), spec) for k in keys]
         expected[spec] = ([i.key.bits for i in infos], [i.orbit_size for i in infos])
-    for size in (keys.size + 1, 1, 3, 7, 9):
+    for size in (keys.size + 1, 1, 3, 7, 9, 3 * n * (n - 1)):
         if n <= isometry._MATMUL_MAX_ORDER:
             monkeypatch.setattr(_tables(n), "chunk", size)
         else:
@@ -432,7 +450,7 @@ def test_successor_tiles_reraise_a_workers_error(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(isometry, "_canonicalize_chunk", failing)
-    # one tile per generator
+    # tiles of the successors of eight keys each
     monkeypatch.setattr(_tables(4), "chunk", keys.size)
     with ThreadPoolExecutor(2) as ex:
         with pytest.raises(ConsistencyError, match="injected"):
