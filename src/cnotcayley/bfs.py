@@ -77,7 +77,9 @@ class SearchLimits:
 class ExplorationResult:
     """Distances of all stored orbit keys plus exact sphere sizes.
 
-    ``keys`` is sorted ascending and ``dists`` aligns with it.  Orbit
+    ``keys`` is sorted ascending and ``dists`` aligns with it; every
+    result stores at least one key.  ``distances`` is the one search of
+    the keys, for queries, synthesis and the probe's meet alike.  Orbit
     sizes are not kept: each follows from its canonical key, and
     ``essential.classify`` recomputes them.  ``sphere_sizes[d]`` counts
     group elements at distance d; entries are exact except possibly the
@@ -106,11 +108,12 @@ class ExplorationResult:
         """Deepest level whose sphere size is exact."""
         return self.max_depth if self.last_level_complete else self.max_depth - 1
 
-    def distance_of_key(self, key: int) -> int | None:
-        idx = int(np.searchsorted(self.keys, np.uint64(key)))
-        if idx < self.keys.size and int(self.keys[idx]) == key:
-            return int(self.dists[idx])
-        return None
+    def distances(self, keys) -> np.ndarray:
+        """int16 distance of each canonical key, -1 where it is not
+        stored, by one search for the whole array."""
+        idx = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        # an int16 -1, since a plain -1 would keep the uint8 of dists
+        return np.where(self.keys[idx] == keys, self.dists[idx], np.int16(-1))
 
     def total_elements(self) -> int:
         return sum(self.sphere_sizes)
@@ -257,23 +260,11 @@ def distance_of(res: ExplorationResult, m: BitMatrix) -> int:
     """Exact distance of m, i.e. its minimal CNOT count."""
     if m.n != res.n:
         raise DimensionError(f"matrix order {m.n} vs exploration order {res.n}")
-    key = canonicalize(m, res.spec).key.bits
-    d = res.distance_of_key(key)
-    if d is None:
+    d = int(res.distances(np.uint64(canonicalize(m, res.spec).key.bits)))
+    if d < 0:
         raise HorizonError(
             f"element beyond the explored horizon (depth {res.max_depth})")
     return d
-
-
-def _neighbor_distances(res: ExplorationResult, m: BitMatrix):
-    """Distances of T*m for every generator T in lex order; None where the
-    neighbor falls outside the stored ball."""
-    canon, _ = canonicalize_successors(np.array([m.bits], dtype=np.uint64), res.n, res.spec)
-    # one search for the whole batch; res.keys always holds the identity
-    idx = np.minimum(np.searchsorted(res.keys, canon), res.keys.size - 1)
-    hit = (res.keys[idx] == canon).tolist()
-    trans = gf2.all_transvections(res.n)
-    return trans, [d if h else None for d, h in zip(res.dists[idx].tolist(), hit)]
 
 
 def synthesize(res: ExplorationResult, m: BitMatrix) -> Circuit:
@@ -283,18 +274,18 @@ def synthesize(res: ExplorationResult, m: BitMatrix) -> Circuit:
     take the first one that moves one level closer to the identity.
     """
     d = distance_of(res, m)
+    trans = gf2.all_transvections(res.n)
     found: list[Transvection] = []
     x = m
     while d > 0:
-        trans, dists = _neighbor_distances(res, x)
-        for t, nd in zip(trans, dists):
-            if nd == d - 1:
-                found.append(t)
-                x = gf2.apply_transvection(t, x)
-                d = nd
-                break
-        else:
+        # the successors of one key come in the generators' order
+        canon, _ = canonicalize_successors(np.array([x.bits], dtype=np.uint64), res.n, res.spec)
+        closer = np.flatnonzero(res.distances(canon) == d - 1)
+        if closer.size == 0:
             raise ConsistencyError("no descending neighbor found")
+        found.append(trans[closer[0]])
+        x = gf2.apply_transvection(found[-1], x)
+        d -= 1
     # found = [t1, ..., td] with m = t1 * t2 * ... * td; gates apply
     # left-multiplicatively in list order, so emit in reverse
     return Circuit(res.n, tuple(reversed(found)))
@@ -346,9 +337,9 @@ def bidirectional_distance(n: int, target: BitMatrix,
     with _pool(threads) as executor:
         for b, (level, _, _) in enumerate(_levels(
                 n, spec, target.bits, SearchLimits(max_depth=bwd_depth), executor)):
-            met = level[_in_sorted(level, fwd.keys)]
-            if met.size:
-                best = int(fwd.dists[np.searchsorted(fwd.keys, met)].min())
+            met = fwd.distances(level)
+            if met.max() >= 0:
+                best = int(met[met >= 0].min())
                 if log is not None:
                     print(f"backward level {b}: met forward ball at depth {best}",
                           file=log, flush=True)

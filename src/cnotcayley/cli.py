@@ -44,10 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _spec_of(value: str) -> IsometrySpec:
-    return IsometrySpec(value)
-
-
 def _int_at_least(low: int):
     """An argparse ``type`` for integers >= ``low``."""
     def integer(text: str) -> int:
@@ -87,50 +83,55 @@ def build_parser() -> _Parser:
                 description="exact minimal CNOT circuits via the Cayley graph of GL(n,2)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("explore", help="run the reduced BFS and print the sphere table")
+    def verb(name, run, help):
+        q = sub.add_parser(name, help=help)
+        q.set_defaults(run=run)
+        return q
+
+    q = verb("explore", _cmd_explore, "run the reduced BFS and print the sphere table")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--max-depth", type=_positive, default=None)
     q.add_argument("--max-orbits", type=_positive, default=None)
     q.add_argument("--out", default=None, help="write a distance database here")
     _add_common(q, threads=True, isometry=True)
 
-    q = sub.add_parser("dist", help="minimal CNOT count of a matrix")
+    q = verb("dist", _cmd_dist, "minimal CNOT count of a matrix")
     _add_common(q, db=True, matrix=True)
 
-    q = sub.add_parser("synth", help="an optimal circuit for a matrix")
+    q = verb("synth", _cmd_synth, "an optimal circuit for a matrix")
     _add_common(q, db=True, matrix=True)
 
-    q = sub.add_parser("perm-check", help="permutation distances per cycle type")
+    q = verb("perm-check", _cmd_perm_check, "permutation distances per cycle type")
     q.add_argument("--n", type=int, default=None)
     q.add_argument("--db", default=None)
     _add_common(q, threads=True)
 
-    q = sub.add_parser("classify", help="orbit classes by essential-index count")
+    q = verb("classify", _cmd_classify, "orbit classes by essential-index count")
     _add_common(q, db=True)
 
-    q = sub.add_parser("poly-extract", help="sphere-polynomial coefficients from GL(2d,2)")
+    q = verb("poly-extract", _cmd_poly_extract, "sphere-polynomial coefficients from GL(2d,2)")
     q.add_argument("--d", type=_positive, required=True)
     q.add_argument("--db", default=None,
                    help="existing exploration of GL(2d,2); explored on the fly if absent")
     _add_common(q, threads=True, isometry=True)
 
-    q = sub.add_parser("poly-eval", help="evaluate a sphere polynomial")
+    q = verb("poly-eval", _cmd_poly_eval, "evaluate a sphere polynomial")
     q.add_argument("--d", type=_positive, required=True)
     q.add_argument("--n", type=_non_negative, required=True)
     _add_common(q, coeffs=True)
 
-    q = sub.add_parser("diam-bound", help="diameter lower bound from sphere sizes")
+    q = verb("diam-bound", _cmd_diam_bound, "diameter lower bound from sphere sizes")
     q.add_argument("--k", type=_positive, required=True)
     q.add_argument("--n", type=int, required=True)
     _add_common(q, coeffs=True)
 
-    q = sub.add_parser("n0-search", help="smallest n with bound above 3(n-1)")
+    q = verb("n0-search", _cmd_n0_search, "smallest n with bound above 3(n-1)")
     q.add_argument("--k", type=_positive, required=True)
     q.add_argument("--n-min", type=int, default=None)
     q.add_argument("--n-max", type=int, required=True)
     _add_common(q, coeffs=True)
 
-    q = sub.add_parser("bidir", help="meet-in-the-middle distance probe")
+    q = verb("bidir", _cmd_bidir, "meet-in-the-middle distance probe")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--matrix", default=None)
     q.add_argument("--perm", default=None, help='cycle notation, e.g. "(1 2 3)(4 5)"')
@@ -138,7 +139,7 @@ def build_parser() -> _Parser:
     q.add_argument("--bwd", type=_positive, required=True)
     _add_common(q, threads=True, isometry=True)
 
-    q = sub.add_parser("db-info", help="header and sphere table of a database")
+    q = verb("db-info", _cmd_db_info, "header and sphere table of a database")
     _add_common(q, db=True)
 
     return p
@@ -154,7 +155,7 @@ def _emit(args, csv_text: str, payload: dict) -> None:
 def _cmd_explore(args) -> int:
     limits = SearchLimits(max_depth=args.max_depth, max_orbits=args.max_orbits,
                           threads=args.threads)
-    res = isometry_bfs(args.n, _spec_of(args.isometry), limits, log=sys.stderr)
+    res = isometry_bfs(args.n, IsometrySpec(args.isometry), limits, log=sys.stderr)
     if args.out:
         store.save(res, args.out)
         print(f"database written to {args.out}", file=sys.stderr)
@@ -212,7 +213,7 @@ def _cmd_poly_extract(args) -> int:
     if args.db:
         res = store.load(args.db)
     else:
-        res = isometry_bfs(2 * args.d, _spec_of(args.isometry),
+        res = isometry_bfs(2 * args.d, IsometrySpec(args.isometry),
                            SearchLimits(max_depth=args.d, threads=args.threads),
                            log=sys.stderr)
     table = essential.classify(res)
@@ -268,7 +269,7 @@ def _cmd_bidir(args) -> int:
     else:
         target = gf2.perm_matrix(gf2.parse_perm(args.perm, args.n))
     outcome = bidirectional_distance(
-        args.n, target, _spec_of(args.isometry),
+        args.n, target, IsometrySpec(args.isometry),
         fwd_depth=args.fwd, bwd_depth=args.bwd,
         limits=SearchLimits(threads=args.threads), log=sys.stderr)
     kind = "exact" if outcome.exact else "lower_bound"
@@ -287,26 +288,11 @@ def _cmd_db_info(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "explore": _cmd_explore,
-    "dist": _cmd_dist,
-    "synth": _cmd_synth,
-    "perm-check": _cmd_perm_check,
-    "classify": _cmd_classify,
-    "poly-extract": _cmd_poly_extract,
-    "poly-eval": _cmd_poly_eval,
-    "diam-bound": _cmd_diam_bound,
-    "n0-search": _cmd_n0_search,
-    "bidir": _cmd_bidir,
-    "db-info": _cmd_db_info,
-}
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -55,10 +55,14 @@ sends a candidate index to n-1, so the matmul path counts the
 candidates' images equal to the minimum; the search counts its
 leaves.
 
-Under ``sym-ti`` every key also needs its transpose-inverse, a GF(2)
-matrix inversion.  ``transpose_inverse_keys`` does it as one vectorised
-Gauss-Jordan over a batch, or with the scalar ``gf2`` inverse for a
-batch of a few keys, where numpy's fixed cost per call would dominate.
+Every kernel takes a (B, S) block of *sources*: column 0 holds the
+keys and, under ``sym-ti``, column 1 their transpose-inverses (TI), so
+S = 1 or 2.  ``_sources`` builds the block, inverting a batch once
+through ``transpose_inverse_keys``: one vectorised Gauss-Jordan, or the
+scalar ``gf2`` inverse for a few keys, where numpy's fixed cost per call
+would dominate.  The scalar ``canonicalize`` builds its sources as
+Python ints.  ``_orbit_sizes`` turns the kernels' stabilizer orders
+into orbit sizes for the batched and the scalar path alike.
 
 ``canonicalize_batch`` and ``canonicalize_successors`` share one tiled
 path (``_tiled``): a batch is cut into contiguous tiles of at most one
@@ -66,11 +70,10 @@ chunk, run serially or on a worker pool, each writing its own slice of
 the outputs.  ``canonicalize_successors`` canonicalizes the n(n-1)
 successors T*g of a set of keys without ever holding them all: they are
 laid out key-major, so a tile is the successors of a run of whole keys,
-built by broadcast row shifts.  Under a TI spec both invert their keys
-once per call; ``canonicalize_successors`` avoids inverting the
-successors too: TI is a graph automorphism with TI(T[i,j]*g) =
-T[j,i]*TI(g), so each tile derives the TI of every successor from its
-keys' TIs by swapped row shifts.
+built by broadcast row shifts from each source column.  TI is a graph
+automorphism with TI(T[i,j]*g) = T[j,i]*TI(g), so the swapped
+successors of the TI column are the TIs of the successors, and no
+successor is ever inverted.
 """
 
 from __future__ import annotations
@@ -242,26 +245,25 @@ def _images(x: np.ndarray, i: np.ndarray, t: _PermTables) -> np.ndarray:
     return t.wf @ bits.astype(np.float64).T
 
 
-def _min_stab_matmul(keys: np.ndarray, ti: np.ndarray | None, t: _PermTables):
-    """Canonical key and stabilizer order of each key, from the images
-    that can be minimal, as exact float64 products.
+def _min_stab_matmul(srcs: np.ndarray, t: _PermTables):
+    """Canonical key and stabilizer order of each row of a source block,
+    from the images that can be minimal, as exact float64 products.
 
     Image row n-1, the most significant, is source row i for the index
     i sent to n-1: its diagonal bit on top, its off-diagonal ones packed
     low at best.  So a minimal image sends to n-1 an index whose row
-    minimizes (diagonal bit, off-diagonal weight), over the key and,
-    if given, its TI.  Each such (source, i) pair is swapped to put i at
-    n-1 and imaged under the (n-1)! permutations that fix n-1.  Every
-    group element that maps the key to its canonical image lies among
+    minimizes (diagonal bit, off-diagonal weight), over the key's
+    sources.  Each such (source, i) pair is swapped to put i at n-1 and
+    imaged under the (n-1)! permutations that fix n-1.  Every group
+    element that maps the key to its canonical image lies among
     these pairs' images, so counting the images equal to the minimum
     gives the stabilizer order.
     """
-    srcs = keys[:, None] if ti is None else np.array((keys, ti)).T
     score = t.score[((srcs[:, :, None] >> t.row_shift) & t.row_mask) | t.row_index]
     group, v, i = np.nonzero(score == score.min(axis=(1, 2))[:, None, None])
     images = _images(srcs[group, v], i, t)
     # every key has a pair, so its pairs start where the group changes
-    starts = np.searchsorted(group, np.arange(keys.size))
+    starts = np.searchsorted(group, np.arange(srcs.shape[0]))
     canon = np.minimum.reduceat(images.min(axis=0), starts)
     # a pair has at most (n-1)! <= 720 equal images
     count = (images == canon[group]).view(np.uint8).sum(axis=0, dtype=np.uint16)
@@ -270,9 +272,8 @@ def _min_stab_matmul(keys: np.ndarray, ti: np.ndarray | None, t: _PermTables):
 
 
 def _min_stab_one(sources: list[int], t: _PermTables) -> tuple[int, int]:
-    """``_min_stab_matmul`` for one key, given with its TI under a TI
-    spec, on Python ints where it can: numpy's fixed cost per call
-    would outweigh the work."""
+    """``_min_stab_matmul`` for the sources of one key, on Python ints
+    where it can: numpy's fixed cost per call would outweigh the work."""
     n = t.n
     scored = [(t.score_list[((src >> (i * n)) & ((1 << n) - 1)) | (i << n)], src, i)
               for src in sources for i in range(n)]
@@ -316,9 +317,9 @@ def _twins(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lower, weight
 
 
-def _min_stab_search(keys: np.ndarray, ti: np.ndarray | None, n: int):
-    """Canonical key and stabilizer order of each key by a lex-leader
-    search, without enumerating the n! images.
+def _min_stab_search(srcs: np.ndarray, n: int):
+    """Canonical key and stabilizer order of each row of a source block
+    by a lex-leader search, without enumerating the n! images.
 
     A branch is a partial arrangement tau (position -> index) with an
     ordered partition of the positions into cells, held per position as
@@ -327,10 +328,10 @@ def _min_stab_search(keys: np.ndarray, ti: np.ndarray | None, n: int):
     child takes tau(p) from p's cell and splits every cell by the bits
     of row tau(p), zeros at the higher positions: that is the exact
     minimum of image row p for this choice.  Per key only the children
-    whose row equals the key's minimum survive.  Under a TI spec the
-    key's TI seeds branches into the same key's group.  The leaves are
-    then exactly the group elements that map the key to its canonical
-    image, and their count is the stabilizer order.
+    whose row equals the key's minimum survive.  Each source seeds a
+    branch into its key's group.  The leaves are then exactly the group
+    elements that map the key to its canonical image, and their count is
+    the stabilizer order.
 
     Twin collapse: twins stay in one cell until they are fixed, and
     taking one twin instead of another gives an isomorphic subtree.  So
@@ -338,14 +339,11 @@ def _min_stab_search(keys: np.ndarray, ti: np.ndarray | None, n: int):
     each leaf stands for prod |class|! arrangements.  TI commutes with
     conjugation, so the key's twin classes are also those of its TI.
     """
-    b = keys.size
-    rows = _rows(keys, n)
-    lower, weight = _twins(rows, n)
-    if ti is None:
-        src_rows, group = rows, np.arange(b)
-    else:
-        src_rows = np.stack([rows, _rows(ti, n)], axis=1).reshape(2 * b, n)
-        group = np.repeat(np.arange(b), 2)
+    b, s = srcs.shape
+    src_rows = _rows(srcs.reshape(-1), n)
+    # the twins of column 0, the keys
+    lower, weight = _twins(src_rows[::s], n)
+    group = np.repeat(np.arange(b), s)
     src = np.arange(group.size)
     cells = np.full((group.size, n), (1 << n) - 1, dtype=np.uint8)
     # rank of each position in its cell, counted from the cell's bottom
@@ -394,19 +392,32 @@ def _min_stab_search(keys: np.ndarray, ti: np.ndarray | None, n: int):
     return canon, np.bincount(group, minlength=b).astype(np.uint64) * weight
 
 
-def _canonicalize_chunk(keys: np.ndarray, ti: np.ndarray | None, n: int,
-                        spec: IsometrySpec) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical keys and orbit sizes of one chunk, given the keys'
-    transpose-inverses under a TI spec and None otherwise."""
-    if n <= _MATMUL_MAX_ORDER:
-        canon, stab = _min_stab_matmul(keys, ti, _tables(n))
-    else:
-        canon, stab = _min_stab_search(keys, ti, n)
+def _orbit_sizes(stab, n: int, spec: IsometrySpec):
+    """|acting group| / |stabilizer|, for an array of stabilizer orders
+    or one Python int (``count_nonzero`` takes an eighth of ``np.any``'s
+    time on an int)."""
     order = spec.group_order(n)
-    if np.any(order % stab):
+    if np.count_nonzero(order % stab):
         raise ConsistencyError("stabilizer count does not divide the group order")
-    sizes = (order // stab).astype(np.uint64)
-    return canon, sizes
+    return order // stab
+
+
+def _canonicalize_chunk(srcs: np.ndarray, n: int, spec: IsometrySpec
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical keys and orbit sizes of one chunk's source block."""
+    if n <= _MATMUL_MAX_ORDER:
+        canon, stab = _min_stab_matmul(srcs, _tables(n))
+    else:
+        canon, stab = _min_stab_search(srcs, n)
+    return canon, _orbit_sizes(stab, n, spec)
+
+
+def _sources(keys: np.ndarray, n: int, spec: IsometrySpec) -> np.ndarray:
+    """(B, S) uint64: each key, then its transpose-inverse under a TI
+    spec, inverted once for the whole batch."""
+    if not spec.uses_ti:
+        return keys[:, None]
+    return np.stack([keys, transpose_inverse_keys(keys, n)], axis=1)
 
 
 def _chunk_size(n: int) -> int:
@@ -444,68 +455,68 @@ def canonicalize_batch(keys: np.ndarray, n: int, spec: IsometrySpec
     """Canonical keys and exact orbit sizes for an array of packed values.
 
     Pure function of the inputs; chunked internally so that each chunk's
-    working set stays in cache.  Under a TI spec the keys are inverted
-    once for the whole batch.
+    working set stays in cache.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     if n == 0 or keys.size == 0:
         return keys.copy(), np.ones(keys.size, dtype=np.uint64)
-    ti = transpose_inverse_keys(keys, n) if spec.uses_ti else None
-    return _tiled(keys.size, _chunk_size(n), lambda part: _canonicalize_chunk(
-        keys[part], None if ti is None else ti[part], n, spec))
+    srcs = _sources(keys, n, spec)
+    return _tiled(keys.size, _chunk_size(n),
+                  lambda part: _canonicalize_chunk(srcs[part], n, spec))
 
 
 @lru_cache(maxsize=None)
 def _transvection_shifts(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(target-row shifts, source-row shifts), one entry per generator in
-    (i, j) lex order; read-only, since they are shared."""
+    """(target-row shifts, source-row shifts), (G, 2) each: one row per
+    generator in (i, j) lex order, one column per source, the TI's
+    swapped; read-only, since they are shared."""
     gens = gf2.all_transvections(n)
-    shifts = np.array([[(t.i - 1) * n for t in gens], [(t.j - 1) * n for t in gens]],
-                      dtype=np.uint64)
+    i = [(t.i - 1) * n for t in gens]
+    j = [(t.j - 1) * n for t in gens]
+    shifts = np.array([[i, j], [j, i]], dtype=np.uint64).transpose(0, 2, 1)
     shifts.flags.writeable = False
     return shifts[0], shifts[1]
 
 
-def _successors(keys: np.ndarray, n: int, swap: bool = False) -> np.ndarray:
-    """T*g for every g in keys and every generator T, laid out key-major:
-    the slice [k*G:(k+1)*G] holds the G = n(n-1) successors of the k-th
-    key, generators in (i, j) lex order.
+def _successors(srcs: np.ndarray, n: int) -> np.ndarray:
+    """T*g for every row of a (B, S) source block and every generator T,
+    laid out key-major: rows [k*G:(k+1)*G] hold the G = n(n-1) successors
+    of the k-th key, generators in (i, j) lex order, one column per
+    source.
 
-    ``swap=True`` applies T[j,i] in the slot of T[i,j].  Since
-    TI(T[i,j]*g) = T[j,i]*TI(g), swapped successors of TI(keys) are the
-    transpose-inverses of the successors of keys, slot for slot.
+    Column 1, the TI, applies T[j,i] in the slot of T[i,j].  Since
+    TI(T[i,j]*g) = T[j,i]*TI(g), it holds the transpose-inverses of
+    column 0, slot for slot.
     """
     ishift, jshift = _transvection_shifts(n)
-    if swap:
-        ishift, jshift = jshift, ishift
-    out = keys[:, None] >> jshift
+    s = srcs.shape[1]
+    out = srcs[:, None, :] >> jshift[:, :s]
     out &= np.uint64((1 << n) - 1)
-    out <<= ishift
-    out ^= keys[:, None]
-    return out.reshape(-1)
+    out <<= ishift[:, :s]
+    out ^= srcs[:, None, :]
+    return out.reshape(-1, s)
 
 
 def canonicalize_successors(keys: np.ndarray, n: int, spec: IsometrySpec,
                             executor=None) -> tuple[np.ndarray, np.ndarray]:
-    """``canonicalize_batch(_successors(keys, n), n, spec)``, without
-    holding the successors or their transpose-inverses.
+    """``canonicalize_batch`` of the successors of keys, without holding
+    the successors or their transpose-inverses.
 
     The key-major layout of the n(n-1)*B successors is cut into tiles of
     the successors of whole keys, as many as fit in one chunk and at
-    least one.  Each tile builds its successors, and under a TI spec
-    derives their TIs from the keys' TIs, inverted once per call.  If an
-    executor is given, tiles run on it concurrently.
+    least one.  Each tile builds the successors of its keys' source
+    block, whose TI column gives the successors' TIs slot for slot.  If
+    an executor is given, tiles run on it concurrently.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     gens = n * (n - 1)
     if keys.size == 0 or gens == 0:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
-    ti = transpose_inverse_keys(keys, n) if spec.uses_ti else None
+    srcs = _sources(keys, n, spec)
 
     def tile(part: slice) -> tuple[np.ndarray, np.ndarray]:
-        rows = slice(part.start // gens, part.stop // gens)
-        succ_ti = None if ti is None else _successors(ti[rows], n, swap=True)
-        return _canonicalize_chunk(_successors(keys[rows], n), succ_ti, n, spec)
+        return _canonicalize_chunk(
+            _successors(srcs[part.start // gens:part.stop // gens], n), n, spec)
 
     size = max(1, _chunk_size(n) // gens) * gens
     return _tiled(gens * keys.size, size, tile, executor)
@@ -521,17 +532,15 @@ def canonicalize(m: BitMatrix, spec: IsometrySpec = IsometrySpec.SYM) -> OrbitIn
     n = m.n
     if n == 0:
         return OrbitInfo(m, 1)
-    if n > _MATMUL_MAX_ORDER:
-        canon, sizes = canonicalize_batch(np.array([m.bits], dtype=np.uint64), n, spec)
-        return OrbitInfo(BitMatrix(n, int(canon[0])), int(sizes[0]))
     sources = [m.bits]
     if spec.uses_ti:
         sources.append(gf2.transpose_inverse_bits(m.bits, n))
-    canon, stab = _min_stab_one(sources, _tables(n))
-    order = spec.group_order(n)
-    if order % stab:
-        raise ConsistencyError("stabilizer count does not divide the group order")
-    return OrbitInfo(BitMatrix(n, canon), order // stab)
+    if n <= _MATMUL_MAX_ORDER:
+        canon, stab = _min_stab_one(sources, _tables(n))
+    else:
+        canon, stab = (int(v[0]) for v in
+                       _min_stab_search(np.array([sources], dtype=np.uint64), n))
+    return OrbitInfo(BitMatrix(n, canon), _orbit_sizes(stab, n, spec))
 
 
 def canonicalize_reference(m: BitMatrix, spec: IsometrySpec = IsometrySpec.SYM) -> OrbitInfo:

@@ -83,7 +83,10 @@ def _read_layout(fh) -> _Layout:
         raise DatabaseError(f"flag bytes {complete}, {last_complete} are not 0 or 1")
     orbit_counts = []
     sphere_sizes = []
-    for _ in range(levels):
+    # each orbit holds 1 to 2*n! elements, under the larger group whatever
+    # the tag, so that a flipped tag still reaches classify's check
+    largest_orbit = IsometrySpec.SYM_TI.group_order(n)
+    for d in range(levels):
         level_head = fh.read(_LEVEL_HEAD.size)
         if len(level_head) != _LEVEL_HEAD.size:
             raise DatabaseError("truncated sphere table")
@@ -91,8 +94,11 @@ def _read_layout(fh) -> _Layout:
         digits = fh.read(dlen)
         if len(digits) != dlen or not digits.isdigit():
             raise DatabaseError("corrupt sphere element count")
+        elements = int(digits)
+        if not 1 <= oc <= elements <= oc * largest_orbit:
+            raise DatabaseError(f"level {d} cannot hold {elements} elements in {oc} orbits")
         orbit_counts.append(oc)
-        sphere_sizes.append(int(digits))
+        sphere_sizes.append(elements)
     offset = fh.tell()
     if size - offset != entry_count * _ENTRY_DTYPE.itemsize:
         raise DatabaseError(

@@ -59,7 +59,7 @@ def test_order_validation():
 
 def test_result_invariants(explored):
     res = explored(4)
-    assert res.distance_of_key(identity(4).bits) == 0
+    assert res.distances(identity(4).bits) == 0
     assert np.all(res.keys[1:] > res.keys[:-1])
     # keys are canonical; their orbit sizes recompute the sphere sizes
     canon, sizes = canonicalize_batch(res.keys, res.n, res.spec)
@@ -73,6 +73,24 @@ def test_result_invariants(explored):
         info = canonicalize(m, res.spec)
         assert info.key == m
         assert info.orbit_size == int(sizes[idx])
+
+
+def test_distances_of_stored_and_missing_keys(explored):
+    res = explored(3)
+    assert np.issubdtype(res.distances(res.keys).dtype, np.signedinteger)
+    assert np.array_equal(res.distances(res.keys), res.dists)
+    # keys between, below and above the stored ones are not stored
+    between = res.keys[:-1] + np.uint64(1)
+    between = between[between < res.keys[1:]]
+    assert between.size
+    below = np.uint64(int(res.keys[0]) - 1)
+    above = np.array([int(res.keys[-1]) + 1, 2**64 - 1], dtype=np.uint64)
+    for missing in (between, below, above):
+        out = res.distances(missing)
+        assert out.dtype == res.distances(res.keys).dtype
+        assert np.all(out == -1)
+    mixed = np.array([res.keys[3], between[0], res.keys[-1]])
+    assert res.distances(mixed).tolist() == [int(res.dists[3]), -1, int(res.dists[-1])]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -239,8 +257,7 @@ def test_max_orbits_truncation(explored):
     assert not res.last_level_complete
     assert res.keys.size >= 50
     # every recorded distance is exact even mid-level
-    for idx in range(res.keys.size):
-        assert int(full.distance_of_key(int(res.keys[idx]))) == int(res.dists[idx])
+    assert np.array_equal(full.distances(res.keys), res.dists)
     # all sphere sizes except the last are exact
     assert res.sphere_sizes[:-1] == full.sphere_sizes[:res.max_depth]
     assert res.sphere_sizes[-1] <= full.sphere_sizes[res.max_depth]

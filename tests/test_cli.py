@@ -1,7 +1,9 @@
 """The command-line surface: outputs, formats and exit codes."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 
 import cnotcayley
 from cnotcayley import cli
-from cnotcayley.cli import _COMMANDS, run
+from cnotcayley.cli import build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -371,7 +373,12 @@ def verb_files(g3_db, off_canonical, tmp_path_factory):
 
 
 def test_every_verb_is_in_the_exit_code_table():
-    assert sorted(EXIT_CODES) == sorted(_COMMANDS)
+    verbs, = [a.choices for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(EXIT_CODES) == sorted(verbs)
+    # the module docstring lists the same verbs
+    listed = re.search(r"One verb per capability:(.*?)\.\n", cli.__doc__, re.S).group(1)
+    assert sorted(v.strip() for v in listed.split(",")) == sorted(verbs)
 
 
 @pytest.mark.parametrize("verb", sorted(EXIT_CODES))

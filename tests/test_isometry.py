@@ -32,6 +32,7 @@ from cnotcayley.isometry import (
     _min_stab_matmul,
     _min_stab_one,
     _min_stab_search,
+    _sources,
     _successors,
     _tables,
     act,
@@ -297,6 +298,11 @@ def random_keys(n, count, seed):
                     dtype=np.uint64)
 
 
+def successors(keys, n):
+    """The successors of 1-D keys, key-major."""
+    return _successors(keys[:, None], n)[:, 0]
+
+
 def scalar_ti(keys, n):
     return np.array([gf2.transpose_inverse_bits(int(k), n) for k in keys],
                     dtype=np.uint64)
@@ -345,18 +351,18 @@ def test_ti_keys_singular_in_batch_raises():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_swapped_successors_of_ti_are_ti_of_successors(n):
     frontier = random_keys(n, 40, 50 + n)
-    derived = _successors(transpose_inverse_keys(frontier, n), n, swap=True)
-    direct = transpose_inverse_keys(_successors(frontier, n), n)
-    assert np.array_equal(derived, direct)
+    succ = _successors(_sources(frontier, n, SYM_TI), n)
+    assert np.array_equal(succ[:, 0], successors(frontier, n))
+    assert np.array_equal(succ[:, 1], transpose_inverse_keys(succ[:, 0], n))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_successors_are_key_major_in_generator_order(n):
-    # bfs._neighbor_distances and synthesize read the successors of one
-    # key in the (i, j) lex order of all_transvections
+    # synthesize reads the successors of one key in the (i, j) lex order
+    # of all_transvections
     frontier = np.append(random_keys(n, 5, 40 + n), np.uint64(identity(n).bits))
     gens = all_transvections(n)
-    succ = _successors(frontier, n)
+    succ = successors(frontier, n)
     assert succ.size == len(gens) * frontier.size
     for k, key in enumerate(frontier.tolist()):
         m = BitMatrix(n, key)
@@ -380,7 +386,7 @@ def test_successors_are_key_major_in_generator_order(n):
 def assert_successors_match_batch(keys, n, spec, executor=None):
     canon, sizes = canonicalize_successors(keys, n, spec, executor)
     assert canon.dtype == sizes.dtype == np.uint64
-    ref_canon, ref_sizes = canonicalize_batch(_successors(keys, n), n, spec)
+    ref_canon, ref_sizes = canonicalize_batch(successors(keys, n), n, spec)
     assert np.array_equal(canon, ref_canon)
     assert np.array_equal(sizes, ref_sizes)
 
@@ -416,7 +422,7 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch, n):
     # of one key each, and a chunk of three keys' successors gives tiles
     # of three keys and of one
     frontier = np.append(random_keys(n, 3, 100 + n), np.uint64(identity(n).bits))
-    keys = _successors(frontier, n)
+    keys = successors(frontier, n)
     expected = {}
     for spec in (SYM, SYM_TI):
         infos = [canonicalize(BitMatrix(n, int(k)), spec) for k in keys]
@@ -508,15 +514,15 @@ def test_tied_chunk_memory_stays_bounded(spec):
 
 def assert_pruned_matches_full(keys, n, full_matmul):
     for spec in (SYM, SYM_TI):
-        ti = transpose_inverse_keys(keys, n) if spec.uses_ti else None
-        canon, stab = _min_stab_matmul(keys, ti, _tables(n))
-        ref_canon, ref_stab = full_matmul(keys, ti, n)
+        srcs = _sources(keys, n, spec)
+        canon, stab = _min_stab_matmul(srcs, _tables(n))
+        ref_canon, ref_stab = full_matmul(keys, srcs[:, 1] if spec.uses_ti else None, n)
         assert np.array_equal(canon, ref_canon)
         assert np.array_equal(stab, ref_stab)
         # the scalar path of single-key callers
         for k in range(0, keys.size, max(1, keys.size // 50)):
-            sources = [int(keys[k])] + ([] if ti is None else [int(ti[k])])
-            assert _min_stab_one(sources, _tables(n)) == (int(ref_canon[k]), int(ref_stab[k]))
+            assert _min_stab_one(srcs[k].tolist(), _tables(n)) == \
+                (int(ref_canon[k]), int(ref_stab[k]))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -529,7 +535,7 @@ def test_pruned_matmul_matches_full_on_shallow_balls(explored, full_matmul, n):
     # near the identity live the ties, the twins and the large stabilizers
     for spec in (SYM, SYM_TI):
         ball = explored(n, spec, 3).keys
-        assert_pruned_matches_full(np.concatenate([ball, _successors(ball, n)]), n,
+        assert_pruned_matches_full(np.concatenate([ball, successors(ball, n)]), n,
                                    full_matmul)
 
 
@@ -614,9 +620,9 @@ def test_ti_case_takes_its_top_row_from_ti(n):
 
 def assert_search_matches_matmul(keys, n):
     for spec in (SYM, SYM_TI):
-        ti = transpose_inverse_keys(keys, n) if spec.uses_ti else None
-        canon, stab = _min_stab_search(keys, ti, n)
-        ref_canon, ref_stab = _min_stab_matmul(keys, ti, _tables(n))
+        srcs = _sources(keys, n, spec)
+        canon, stab = _min_stab_search(srcs, n)
+        ref_canon, ref_stab = _min_stab_matmul(srcs, _tables(n))
         assert np.array_equal(canon, ref_canon)
         assert np.array_equal(stab, ref_stab)
 
@@ -631,7 +637,7 @@ def test_search_matches_matmul_on_shallow_balls(explored, n):
     # near the identity live the twins and the large stabilizers
     for spec in (SYM, SYM_TI):
         ball = explored(n, spec, 3).keys
-        assert_search_matches_matmul(np.concatenate([ball, _successors(ball, n)]), n)
+        assert_search_matches_matmul(np.concatenate([ball, successors(ball, n)]), n)
 
 
 def order8_structured_matrices():
@@ -668,7 +674,7 @@ def test_order8_builds_no_permutation_table(monkeypatch):
     monkeypatch.setattr(isometry, "_tables",
                         lru_cache(maxsize=None)(lambda n: isometry._PermTables(n)))
     canonicalize(identity(8), SYM_TI)
-    canonicalize_batch(_successors(random_keys(8, 30, 90), 8), 8, SYM)
+    canonicalize_batch(successors(random_keys(8, 30, 90), 8), 8, SYM)
     assert built == []
     canonicalize(identity(7), SYM)
     assert built == [7]

@@ -8,6 +8,7 @@ import pytest
 
 from cnotcayley import store
 from cnotcayley.bfs import SearchLimits, distance_of, isometry_bfs
+from cnotcayley.cli import run
 from cnotcayley.errors import DatabaseError, HorizonError
 from cnotcayley.gf2 import BitMatrix, identity, parse_matrix, random_invertible
 from cnotcayley.isometry import IsometrySpec, canonicalize
@@ -36,6 +37,15 @@ FROZEN_SHA256_ORDER8 = {
 }
 
 
+# SHA-256 of saved GL(7,2) balls to depth 6 (spec, orbits), frozen from
+# the pruned product whose tables hold all (n-1)! = 720 permutations
+# fixing n-1, the n <= 7 kernel at its largest order.
+FROZEN_SHA256_ORDER7 = {
+    ("sym", 20_831): "f45961aa3dd769317e73e858ce7d4da31861f849966daed8701a3e7fc68f02ca",
+    ("sym-ti", 10_536): "969629490b833fb686c26746e964cb37de1f2a6274e9e35fb53432a65d1cad2b",
+}
+
+
 # SHA-256 of saved GL(6,2) `sym` explorations capped by max_orbits,
 # frozen from the level loop that re-sorted the next level after every
 # block of 2^20 successors.  The orbit budget is checked only at those
@@ -60,6 +70,16 @@ def test_saved_order8_balls_frozen(explored, tmp_path, spec, depth):
     store.save(explored(8, IsometrySpec(spec), depth), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         FROZEN_SHA256_ORDER8[spec, depth]
+
+
+@pytest.mark.parametrize("spec, orbits", sorted(FROZEN_SHA256_ORDER7))
+def test_saved_order7_balls_frozen(explored, tmp_path, spec, orbits):
+    res = explored(7, IsometrySpec(spec), 6)
+    assert res.keys.size == orbits
+    path = tmp_path / "g.db"
+    store.save(res, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        FROZEN_SHA256_ORDER7[spec, orbits]
 
 
 @pytest.mark.parametrize("max_orbits", sorted(FROZEN_SHA256_CAPPED))
@@ -213,6 +233,39 @@ def test_flag_bytes_are_zero_or_one(g3_blob, tmp_path, offset):
             store.load(bad)
         with pytest.raises(DatabaseError, match="not 0 or 1"):
             store.lookup(bad, identity(3))
+
+
+def test_level_counts_must_be_possible(g3_blob, tmp_path):
+    # a level holds at least one orbit and 1 to 2*n! elements per orbit;
+    # the sphere table of GL(3,2) starts (1 orbit, "1"), (1, "6"), (5, "24")
+    level0 = store._HEADER.size + store._LEVEL_HEAD.size
+    level2 = level0 + 2 * (1 + store._LEVEL_HEAD.size)
+    assert g3_blob[level0:level0 + 1] == b"1" and g3_blob[level2:level2 + 2] == b"24"
+    bad = tmp_path / "bad.db"
+    for at, digits in ((level0, b"0"), (level2, b"99")):
+        blob = bytearray(g3_blob)
+        blob[at:at + len(digits)] = digits
+        bad.write_bytes(blob)
+        with pytest.raises(DatabaseError, match="cannot hold"):
+            store.load(bad)
+        with pytest.raises(DatabaseError, match="cannot hold"):
+            store.lookup(bad, identity(3))
+
+
+def test_database_without_entries_is_refused(capsys, tmp_path):
+    # order 1, one complete level of 0 orbits and 1 element: the element
+    # count sums to |GL(1,2)| and the empty entry block matches 0 orbits
+    path = tmp_path / "empty.db"
+    path.write_bytes(store._HEADER.pack(store.MAGIC, store.VERSION, 1, 0, 1, 1, 0, 1, 0)
+                     + store._LEVEL_HEAD.pack(0, 1) + b"1")
+    with pytest.raises(DatabaseError, match="cannot hold"):
+        store.load(path)
+    with pytest.raises(DatabaseError, match="cannot hold"):
+        store.lookup(path, identity(1))
+    for verb in ("synth", "dist"):
+        assert run([verb, "--db", str(path), "--matrix", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "cannot hold" in err and "Traceback" not in err
 
 
 def test_lookup_checks_the_distance_it_finds(explored, tmp_path):
