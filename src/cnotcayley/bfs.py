@@ -5,29 +5,41 @@ The search starts from the orbit of a key (the identity for
 ``isometry_bfs``, the target for the backward side of
 ``bidirectional_distance``) and stores one canonical representative
 per orbit; isometries are graph automorphisms, so each level is a union
-of orbits.  Every successor T*g of a frontier key is canonicalized;
-keys not seen in the previous, current or accruing next level are new,
-enter the next level, and contribute their full orbit size to the
-element count of sphere d+1 exactly once.  Because the generators are
-involutions the graph is undirected and an edge can only stay within a
-level or connect adjacent levels, so checking three levels suffices and
-memory stays proportional to the number of stored orbits.  Beyond the
-stored keys, a level's expansion holds one block of at most ``_BLOCK``
-successors' canonical keys and dedup temporaries (a few MiB, whatever
-the size of the level) and, while a block is merged in, a second copy
-of the next level.
+of orbits.  A successor T*g of a frontier key belongs to a new orbit
+when its canonical key is not in the previous, current or accruing
+next level; that key enters the next level and contributes its full
+orbit size to the element count of sphere d+1 exactly once.  Because
+the generators are involutions the graph is undirected and an edge can
+only stay within a level or connect adjacent levels, so checking three
+levels suffices and memory stays proportional to the number of stored
+orbits.
+
+A level is expanded in blocks of at most ``_BLOCK`` successors.  A
+block sorts its raw successors and skips two kinds before the kernel: a
+repeat of another successor of the block, which lies in the same orbit,
+and a successor equal to a key stored in one of the three levels, which
+is canonical and so names a known orbit.  Only the rest go to
+``isometry.canonicalize_successors``, which builds and canonicalizes
+them at their positions in the layout and, under ``sym-ti``, derives
+their TIs from the frontier keys' TIs.  The skipped successors would
+all have been dropped by the dedup after the kernel, so the levels,
+element counts and budget stops are those of canonicalizing every
+successor; about a third of the successors of GL(6,2) to depth 8 never
+reach the kernel.  Beyond the stored keys, a level's expansion
+holds one block's raw successors, the positions it keeps, their
+canonical keys and the dedup temporaries (a few MiB, whatever the size
+of the level) and, while a block is merged in, a second copy of the
+next level.
 
 Early termination keeps every recorded distance exact: a depth cap
 stops *between* levels (everything recorded is complete), while an
 orbit-budget cap may stop mid-level, in which case only the last sphere
 size is a lower estimate and the result says so.
 
-Each block's successors are built and canonicalized inside
-``isometry.canonicalize_successors``, a tile of whole frontier keys at a
-time, so no successor array of a whole block exists.  Worker threads run
-its tiles, each writing its own slice of the output; a block's canonical
-keys are then deduplicated by value, so distances, sphere sizes and
-stored keys are identical for every thread count.
+Worker threads run the kernel's tiles, each writing its own slice of
+the output; a block's canonical keys are then deduplicated by value, so
+distances, sphere sizes and stored keys are identical for every thread
+count.
 """
 
 from __future__ import annotations
@@ -50,6 +62,7 @@ from .errors import (
 from .gf2 import BitMatrix, Circuit, Transvection
 from .isometry import (
     IsometrySpec,
+    _successors,
     canonicalize,
     canonicalize_batch,
     canonicalize_successors,
@@ -156,14 +169,15 @@ def isometry_bfs(n: int, spec: IsometrySpec = IsometrySpec.SYM,
     sphere_sizes: list[int] = []
     orbit_counts: list[int] = []
     with _pool(limits.threads) as executor:
-        for keys, elements, whole in _levels(n, spec, gf2.identity(n).bits,
-                                             limits, executor):
+        for keys, elements, whole, successors, canonicalized in _levels(
+                n, spec, gf2.identity(n).bits, limits, executor):
             level_keys.append(keys)
             sphere_sizes.append(elements)
             orbit_counts.append(int(keys.size))
             if log is not None and len(level_keys) > 1:
                 print(f"level {len(level_keys) - 1}: orbits={orbit_counts[-1]} "
                       f"elements={sphere_sizes[-1]} stored={sum(orbit_counts)} "
+                      f"successors={successors} canonicalized={canonicalized} "
                       f"peak_rss={_peak_rss_mb():.1f}MB", file=log, flush=True)
     keys = np.concatenate(level_keys)
     keys.sort()
@@ -184,13 +198,17 @@ def isometry_bfs(n: int, spec: IsometrySpec = IsometrySpec.SYM,
 def _levels(n: int, spec: IsometrySpec, start: int,
             limits: SearchLimits, executor):
     """BFS levels from the orbit of the key ``start``, as (sorted
-    canonical keys, elements, whole) triples, level 0 first.
+    canonical keys, elements, whole, successors, canonicalized) tuples,
+    level 0 first.
 
     Level b holds the orbits at distance b from the orbit of ``start``,
     and ``elements`` is the exact number of group elements in it, so
     level 0 counts the orbit of ``start`` (1 for the identity).
     ``whole`` is False only on a last level cut short by
-    ``limits.max_orbits``.
+    ``limits.max_orbits``.  ``successors`` counts the successors that
+    the expansion into the level generated, and ``canonicalized`` those
+    of them that reached the kernel; level 0 counts no successors and
+    the start as canonicalized.
 
     Only the two newest levels stay referenced here while a level is
     handed out: a suspended generator keeps its locals alive, so the
@@ -198,43 +216,70 @@ def _levels(n: int, spec: IsometrySpec, start: int,
     """
     prev = np.empty(0, dtype=np.uint64)
     curr, sizes = canonicalize_batch(np.array([start], dtype=np.uint64), n, spec)
-    yield curr, int(sizes[0]), True
+    yield curr, int(sizes[0]), True, 0, 1
     stored = 1
     depth = 0
     while limits.max_depth is None or depth < limits.max_depth:
         budget = None if limits.max_orbits is None else limits.max_orbits - stored
-        nxt, elements, whole = _next_level(n, spec, prev, curr, executor, budget)
+        level = _next_level(n, spec, prev, curr, executor, budget)
+        nxt, _, whole, _, _ = level
         if nxt.size == 0:
             return
         stored += nxt.size
         depth += 1
         prev, curr = curr, nxt
-        yield curr, elements, whole
+        yield level
         if not whole:
             return
 
 
-# successors canonicalized per memory block; 2^18 measured no faster
-_BLOCK = 1 << 17
+# successors filtered and canonicalized per memory block.  Blocks of
+# 2^17 explored GL(6,2) to depth 8 a few per cent faster, but their
+# filter temporaries raised the peak RSS of that run by about 1 MB; the
+# smaller block costs all of GL(6,2) about 6,400 more merges into the
+# next level (estimated at about a minute of its 20)
+_BLOCK = 1 << 16
 # successors between two checks of the orbit budget, so that a capped
 # level stops after the same frontier keys whatever _BLOCK is
 _BUDGET_BLOCK = 1 << 20
 
 
+def _fresh(raw: np.ndarray, stored) -> np.ndarray:
+    """Ascending positions of the successors in ``raw`` to canonicalize:
+    of each value the first, unless it is stored in one of the sorted
+    arrays of ``stored``.  A stored key is canonical, so a successor
+    equal to one lies in a known orbit, and equal successors lie in one
+    orbit."""
+    order = np.argsort(raw)
+    raw = raw[order]
+    new = np.ones(raw.size, dtype=bool)
+    np.not_equal(raw[1:], raw[:-1], out=new[1:])
+    for table in stored:
+        new &= ~_in_sorted(raw, table)
+    keep = np.empty_like(new)
+    keep[order] = new
+    return np.flatnonzero(keep)
+
+
 def _next_level(n, spec, prev, curr, executor, budget):
-    """The level after ``curr``: sorted keys, their element count, and
-    whether the level is whole.  Expansion stops after the budget block
+    """The level after ``curr``: sorted keys, their element count,
+    whether the level is whole, and how many successors the expansion
+    generated and canonicalized.  Expansion stops after the budget block
     of frontier keys that takes the number of new keys past ``budget``."""
     gens = max(1, n * (n - 1))
     rows = max(1, _BLOCK // gens)
     budget_rows = max(1, _BUDGET_BLOCK // gens)
     nxt = np.empty(0, dtype=np.uint64)
-    elements = 0
+    elements = successors = canonicalized = 0
     for s in range(0, curr.size, budget_rows):
         stop = min(s + budget_rows, curr.size)
         for t in range(s, stop, rows):
-            canon, sizes = canonicalize_successors(curr[t:min(t + rows, stop)],
-                                                   n, spec, executor)
+            keys = curr[t:min(t + rows, stop)]
+            at = _fresh(_successors(keys[:, None], n)[:, 0], (prev, curr, nxt))
+            successors += keys.size * n * (n - 1)
+            canonicalized += at.size
+            canon, sizes = canonicalize_successors(keys, n, spec, executor, at)
+            del at
             canon, first = np.unique(canon, return_index=True)
             sizes = sizes[first]
             keep = ~_in_sorted(canon, prev)
@@ -247,8 +292,8 @@ def _next_level(n, spec, prev, curr, executor, budget):
             nxt = np.concatenate([nxt, canon[keep]])
             nxt.sort(kind="stable")
         if budget is not None and nxt.size > budget:
-            return nxt, elements, False
-    return nxt, elements, True
+            return nxt, elements, False, successors, canonicalized
+    return nxt, elements, True, successors, canonicalized
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +380,7 @@ def bidirectional_distance(n: int, target: BitMatrix,
     fwd = isometry_bfs(n, spec, SearchLimits(max_depth=fwd_depth, threads=threads),
                        log=log)
     with _pool(threads) as executor:
-        for b, (level, _, _) in enumerate(_levels(
+        for b, (level, *_) in enumerate(_levels(
                 n, spec, target.bits, SearchLimits(max_depth=bwd_depth), executor)):
             met = fwd.distances(level)
             if met.max() >= 0:

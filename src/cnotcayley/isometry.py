@@ -68,10 +68,12 @@ into orbit sizes for the batched and the scalar path alike.
 path (``_tiled``): a batch is cut into contiguous tiles of at most one
 chunk, run serially or on a worker pool, each writing its own slice of
 the outputs.  ``canonicalize_successors`` canonicalizes the n(n-1)
-successors T*g of a set of keys without ever holding them all: they are
-laid out key-major, so a tile is the successors of a run of whole keys,
-built by broadcast row shifts from each source column.  TI is a graph
-automorphism with TI(T[i,j]*g) = T[j,i]*TI(g), so the swapped
+successors T*g of a set of keys, or only those at given positions of
+their key-major layout, without ever holding them all: a tile builds
+its successors by row shifts from each source column, and without
+positions a tile is the successors of a run of whole keys.  The BFS
+passes the positions of the successors it has not seen.  TI is
+a graph automorphism with TI(T[i,j]*g) = T[j,i]*TI(g), so the swapped
 successors of the TI column are the TIs of the successors, and no
 successor is ever inverted.
 """
@@ -189,9 +191,12 @@ def _tables(n: int) -> _PermTables:
 _MATMUL_MAX_ORDER = 7
 # keys per search chunk.  Random keys keep a few live branches each,
 # near-identity keys up to a few hundred (540 at most among the depth-5
-# successors of GL(8,2)); a whole chunk of that worst key peaks at
-# ~60 MB RSS.
-_SEARCH_CHUNK = 1024
+# successors of GL(8,2)); a chunk of 1,024 copies of that worst key
+# peaks at ~60 MB RSS.  So a chunk's peak follows the keys that share
+# it: among the fresh successors of GL(8,2) to depth 5, the heaviest
+# chunk of 1,024 keys peaks at 5.8 MiB traced, one of 512 at 3.6 MiB,
+# at 2-3 % more time
+_SEARCH_CHUNK = 512
 
 
 # below this many keys the scalar inverse beats numpy's fixed cost per
@@ -478,11 +483,11 @@ def _transvection_shifts(n: int) -> tuple[np.ndarray, np.ndarray]:
     return shifts[0], shifts[1]
 
 
-def _successors(srcs: np.ndarray, n: int) -> np.ndarray:
+def _successors(srcs: np.ndarray, n: int, at: np.ndarray | None = None) -> np.ndarray:
     """T*g for every row of a (B, S) source block and every generator T,
     laid out key-major: rows [k*G:(k+1)*G] hold the G = n(n-1) successors
     of the k-th key, generators in (i, j) lex order, one column per
-    source.
+    source.  Given ``at``, only the rows at those positions of the layout.
 
     Column 1, the TI, applies T[j,i] in the slot of T[i,j].  Since
     TI(T[i,j]*g) = T[j,i]*TI(g), it holds the transpose-inverses of
@@ -490,36 +495,46 @@ def _successors(srcs: np.ndarray, n: int) -> np.ndarray:
     """
     ishift, jshift = _transvection_shifts(n)
     s = srcs.shape[1]
-    out = srcs[:, None, :] >> jshift[:, :s]
+    if at is None:
+        src, gen = srcs[:, None, :], slice(None)
+    else:
+        src, gen = srcs[at // ishift.shape[0]], at % ishift.shape[0]
+    ishift, jshift = ishift[gen, :s], jshift[gen, :s]
+    out = src >> jshift
     out &= np.uint64((1 << n) - 1)
-    out <<= ishift[:, :s]
-    out ^= srcs[:, None, :]
+    out <<= ishift
+    out ^= src
     return out.reshape(-1, s)
 
 
 def canonicalize_successors(keys: np.ndarray, n: int, spec: IsometrySpec,
-                            executor=None) -> tuple[np.ndarray, np.ndarray]:
-    """``canonicalize_batch`` of the successors of keys, without holding
-    the successors or their transpose-inverses.
+                            executor=None, at: np.ndarray | None = None
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """``canonicalize_batch`` of the successors of keys, or of those at
+    the ascending positions ``at`` of their layout, without holding the
+    successors or their transpose-inverses.
 
-    The key-major layout of the n(n-1)*B successors is cut into tiles of
-    the successors of whole keys, as many as fit in one chunk and at
-    least one.  Each tile builds the successors of its keys' source
-    block, whose TI column gives the successors' TIs slot for slot.  If
-    an executor is given, tiles run on it concurrently.
+    Each tile builds its successors from the keys' source block, whose
+    TI column gives the successors' TIs slot for slot: the positions are
+    cut into tiles of at most one chunk, and the whole layout into tiles
+    of the successors of whole keys, as many as fit in one chunk and at
+    least one.  If an executor is given, tiles run on it concurrently.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     gens = n * (n - 1)
-    if keys.size == 0 or gens == 0:
+    count = gens * keys.size if at is None else at.size
+    if count == 0:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
     srcs = _sources(keys, n, spec)
+    if at is not None:
+        return _tiled(count, _chunk_size(n), lambda part: _canonicalize_chunk(
+            _successors(srcs, n, at[part]), n, spec), executor)
 
     def tile(part: slice) -> tuple[np.ndarray, np.ndarray]:
         return _canonicalize_chunk(
             _successors(srcs[part.start // gens:part.stop // gens], n), n, spec)
 
-    size = max(1, _chunk_size(n) // gens) * gens
-    return _tiled(gens * keys.size, size, tile, executor)
+    return _tiled(count, max(1, _chunk_size(n) // gens) * gens, tile, executor)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,17 @@ _HEADER = struct.Struct("<8sHBBBBHHQ")
 _LEVEL_HEAD = struct.Struct("<QH")
 _ENTRY_DTYPE = np.dtype([("key", "<u8"), ("dist", "u1")])
 
+# entries written and read per slice by ``save`` and ``load``; the slice
+# buffer and the checks' temporaries are the only memory beyond the result
+_SLICE = 1 << 14
+
 _SPEC_TAGS = {IsometrySpec.SYM: 0, IsometrySpec.SYM_TI: 1}
 _TAG_SPECS = {v: k for k, v in _SPEC_TAGS.items()}
 
 
 def save(res: ExplorationResult, path) -> None:
-    """Write a result; identical inputs give byte-identical files."""
+    """Write a result; identical inputs give byte-identical files.  The
+    entry block is written a slice at a time, as ``load`` reads it."""
     if res.keys.size != sum(res.orbit_counts):
         raise ValueError("result keys do not match its orbit counts; nothing to persist")
     levels = len(res.sphere_sizes)
@@ -44,12 +49,14 @@ def save(res: ExplorationResult, path) -> None:
         digits = str(res.sphere_sizes[d]).encode("ascii")
         head += _LEVEL_HEAD.pack(res.orbit_counts[d], len(digits))
         head += digits
-    entries = np.empty(res.keys.size, dtype=_ENTRY_DTYPE)
-    entries["key"] = res.keys
-    entries["dist"] = res.dists
+    buf = np.empty(min(res.keys.size, _SLICE), dtype=_ENTRY_DTYPE)
     with open(path, "wb") as fh:
         fh.write(head)
-        entries.tofile(fh)
+        for s in range(0, res.keys.size, _SLICE):
+            part = buf[:min(_SLICE, res.keys.size - s)]
+            part["key"] = res.keys[s:s + part.size]
+            part["dist"] = res.dists[s:s + part.size]
+            fh.write(part.view(np.uint8))
 
 
 class _Layout(NamedTuple):
@@ -113,11 +120,6 @@ def _read_layout(fh) -> _Layout:
         raise DatabaseError(f"complete flag {complete} disagrees with the sphere table")
     return _Layout(n, _TAG_SPECS[spec_tag], bool(last_complete),
                    orbit_counts, sphere_sizes, entry_count, offset)
-
-
-# entries read per slice by ``load``; the slice buffer and the checks'
-# temporaries are the only memory beyond the result
-_SLICE = 1 << 14
 
 
 def load(path) -> ExplorationResult:

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from cnotcayley import bfs, gf2
+from cnotcayley import bfs, gf2, isometry
 from cnotcayley.bfs import (
     BidirOutcome,
     SearchLimits,
@@ -20,7 +20,13 @@ from cnotcayley.bfs import (
 from cnotcayley.bounds import gl_order
 from cnotcayley.errors import HorizonError, OrderError
 from cnotcayley.gf2 import identity, invert, parse_matrix, parse_perm, perm_matrix, random_invertible
-from cnotcayley.isometry import IsometrySpec, canonicalize, canonicalize_batch
+from cnotcayley.isometry import (
+    IsometrySpec,
+    canonicalize,
+    canonicalize_batch,
+    canonicalize_successors,
+    transpose_inverse_keys,
+)
 
 # element counts per distance, from the published level-size table
 SPHERES = {
@@ -135,11 +141,153 @@ def test_levels_from_an_orbit_match_oracle(n, spec, oracle_dist):
                 from_orbit, from_identity[np.searchsorted(group, moved)])
         levels = list(_levels(n, spec, start.bits, SearchLimits(), None))
         assert len(levels) == from_orbit.max() + 1
-        for b, (level, elements, whole) in enumerate(levels):
+        for b, (level, elements, whole, _, _) in enumerate(levels):
             at_b = from_orbit == b
             assert whole and elements == int(at_b.sum())
             assert np.array_equal(level, np.unique(canon[at_b]))
-        assert sum(elements for _, elements, _ in levels) == gl_order(n)
+        assert sum(level[1] for level in levels) == gl_order(n)
+
+
+# ---------------------------------------------------------------------------
+# the successor filter before the kernel
+# ---------------------------------------------------------------------------
+
+
+def next_level_unfiltered(n, spec, prev, curr, budget):
+    """The level after curr with every successor canonicalized, checking
+    the budget after each budget block of frontier keys, as _next_level
+    does."""
+    rows = max(1, bfs._BUDGET_BLOCK // (n * (n - 1)))
+    nxt = np.empty(0, dtype=np.uint64)
+    elements = 0
+    for s in range(0, curr.size, rows):
+        canon, sizes = canonicalize_successors(curr[s:s + rows], n, spec)
+        canon, first = np.unique(canon, return_index=True)
+        new = ~np.isin(canon, np.concatenate([prev, curr, nxt]))
+        elements += int(sizes[first][new].sum())
+        nxt = np.union1d(nxt, canon[new])
+        if budget is not None and nxt.size > budget:
+            return nxt, elements, False
+    return nxt, elements, True
+
+
+@pytest.fixture(scope="module")
+def unfiltered(explored):
+    """Every level after the first of a whole exploration, as
+    (previous level, level, the level after it unfiltered)."""
+    cache = {}
+
+    def get(n, spec):
+        if (n, spec) not in cache:
+            cache[n, spec] = [
+                (prev, curr, next_level_unfiltered(n, spec, prev, curr, None))
+                for prev, curr in level_pairs(explored(n, spec))]
+        return cache[n, spec]
+    return get
+
+
+def level_pairs(res):
+    """(previous level, level) for every level of a result after the
+    first."""
+    levels = [res.keys[res.dists == d] for d in range(res.max_depth + 1)]
+    return list(zip(levels, levels[1:]))
+
+
+def assert_same_level(got, want):
+    nxt, elements, whole, successors, canonicalized = got
+    assert nxt.dtype == np.uint64
+    assert np.array_equal(nxt, want[0])
+    assert (elements, whole) == want[1:]
+    assert canonicalized <= successors
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("spec", ["sym", "sym-ti"])
+def test_filtered_level_matches_every_successor_canonicalized(unfiltered, n, spec):
+    spec = IsometrySpec(spec)
+    for prev, curr, want in unfiltered(n, spec):
+        assert_same_level(bfs._next_level(n, spec, prev, curr, None, None), want)
+
+
+@pytest.mark.parametrize("n, spec, block", [(4, "sym", 36), (5, "sym-ti", 2000)])
+def test_filtered_level_spanning_blocks(unfiltered, monkeypatch, n, spec, block):
+    # blocks of 3 and 100 frontier keys: each block's filter also drops
+    # the keys that earlier blocks added to the accruing level
+    spec = IsometrySpec(spec)
+    levels = unfiltered(n, spec)
+    monkeypatch.setattr(bfs, "_BLOCK", block)
+    assert max(curr.size for _, curr, _ in levels) * n * (n - 1) > 10 * block
+    for prev, curr, want in levels:
+        assert_same_level(bfs._next_level(n, spec, prev, curr, None, None), want)
+
+
+@pytest.mark.parametrize("spec", ["sym", "sym-ti"])
+def test_filtered_level_under_a_budget(explored, monkeypatch, spec):
+    # budget blocks of 25 frontier keys in memory blocks of 10; the level
+    # stops after the budget block that takes it past 300 new keys
+    spec = IsometrySpec(spec)
+    monkeypatch.setattr(bfs, "_BLOCK", 200)
+    monkeypatch.setattr(bfs, "_BUDGET_BLOCK", 500)
+    prev, curr = level_pairs(explored(5, spec))[5]
+    want = next_level_unfiltered(5, spec, prev, curr, 300)
+    assert not want[2] and want[0].size > 300
+    assert_same_level(bfs._next_level(5, spec, prev, curr, None, 300), want)
+
+
+def distinct(values):
+    """The distinct values, sorted, without the hashing np.unique."""
+    values = np.sort(values)
+    return np.concatenate([values[:1], values[1:][values[1:] != values[:-1]]])
+
+
+@pytest.mark.parametrize("n, spec, block", [(4, "sym", 120), (5, "sym-ti", 8000)])
+def test_only_fresh_successors_reach_the_kernel(explored, monkeypatch, n, spec, block):
+    # in blocks of 10 and 400 frontier keys, exactly the distinct raw
+    # successors stored in none of the previous, current and accruing
+    # next level reach the kernel, under sym-ti each with its TI;
+    # canonicalizing every successor would send more
+    spec = IsometrySpec(spec)
+    pairs = level_pairs(explored(n, spec))
+    monkeypatch.setattr(bfs, "_BLOCK", block)
+    sent = []
+    real_successors, real_chunk = bfs.canonicalize_successors, isometry._canonicalize_chunk
+
+    def successors_of(*args):
+        sent.append([])
+        return real_successors(*args)
+
+    def chunk(srcs, *args):
+        sent[-1].append(srcs.copy())
+        return real_chunk(srcs, *args)
+
+    monkeypatch.setattr(bfs, "canonicalize_successors", successors_of)
+    monkeypatch.setattr(isometry, "_canonicalize_chunk", chunk)
+    rows = block // (n * (n - 1))
+    dropped = 0
+    for prev, curr in pairs:
+        sent.clear()
+        nxt, _, _, successors, canonicalized = bfs._next_level(
+            n, spec, prev, curr, None, None)
+        assert len(sent) == -(-curr.size // rows)
+        assert successors == curr.size * n * (n - 1)
+        blocks = [np.concatenate(parts) if parts else np.empty((0, 2), np.uint64)
+                  for parts in sent]
+        stored = np.sort(np.concatenate([prev, curr]))
+        known = stored
+        for k, srcs in enumerate(blocks):
+            raw = isometry._successors(curr[k * rows:(k + 1) * rows, None], n)[:, 0]
+            fresh = distinct(raw)
+            fresh = fresh[~np.isin(fresh, known)]
+            assert np.array_equal(np.sort(srcs[:, 0]), fresh)
+            if spec.uses_ti:
+                assert np.array_equal(srcs[:, 1], transpose_inverse_keys(srcs[:, 0], n))
+            canonicalized -= srcs.shape[0]
+            dropped += raw.size - srcs.shape[0]
+            canon = canonicalize_batch(srcs[:, 0], n, spec)[0]
+            known = np.sort(np.concatenate([known, canon]))
+        assert canonicalized == 0
+        assert np.array_equal(distinct(known[~np.isin(known, stored)]), nxt)
+    assert dropped > 0
 
 
 def test_distance_symmetry_under_inverse(explored):

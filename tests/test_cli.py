@@ -74,6 +74,9 @@ def test_explore_truncated_exit_code(capsys):
 def test_explore_progress_on_stderr(capsys):
     _, out, err = invoke(capsys, "explore", "--n", "3")
     assert "level 1:" in err and "orbits=" in err
+    # the successors of level 1 and those canonicalized: of the six
+    # successors of its one key, one is the identity
+    assert "level 2: orbits=5 elements=24 stored=7 successors=6 canonicalized=5 " in err
     assert "level" not in out
 
 

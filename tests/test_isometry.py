@@ -401,6 +401,22 @@ def test_successors_match_batch_of_successors(n):
             assert_successors_match_batch(keys, n, spec)
 
 
+@pytest.mark.parametrize("n, count", [(3, 20), (5, 300), (8, 60)])
+def test_successors_at_positions(n, count):
+    # the successors at ascending positions of the layout, over one or
+    # several tiles, are those of the whole layout there
+    keys = random_keys(n, count, 190 + n)
+    rng = np.random.default_rng(n)
+    for spec in (SYM, SYM_TI):
+        canon, sizes = canonicalize_successors(keys, n, spec)
+        for at in (np.flatnonzero(rng.random(canon.size) < 0.6),
+                   np.arange(0), np.arange(canon.size)):
+            got, got_sizes = canonicalize_successors(keys, n, spec, at=at)
+            assert got.dtype == got_sizes.dtype == np.uint64
+            assert np.array_equal(got, canon[at])
+            assert np.array_equal(got_sizes, sizes[at])
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_batch_with_given_ti_matches_default(threads):
     # canonicalize_successors derives the successors' TIs from the

@@ -1,10 +1,11 @@
 """Memory bounds of the phases of an exploration's life.
 
-Expanding a level, classifying a result and loading a database each
-hold the stored keys plus one bounded block of temporaries, never a
-copy of the result or a block of a whole level's successors.  Peaks
-are read with ``tracemalloc``, which sees numpy's allocations; every
-bound is a small multiple of the block or of the result, in bytes.
+Expanding a level, classifying a result, and saving and loading a
+database each hold the stored keys plus one bounded block of
+temporaries, never a copy of the result or a block of a whole level's
+successors.  Peaks are read with ``tracemalloc``, which sees numpy's
+allocations; every bound is a small multiple of the block or of the
+result, in bytes.
 """
 
 import dataclasses
@@ -40,18 +41,19 @@ def g6_d7():
 
 
 def test_next_level_holds_one_block(g6_d7):
-    # level 6 has 402,750 successors, three full blocks and a part
+    # level 6 has 402,750 successors, six full blocks and a part
     levels = [g6_d7.keys[g6_d7.dists == d] for d in (5, 6, 7)]
     prev, curr, want = levels
     assert curr.size * 30 > 3 * bfs._BLOCK
-    (nxt, elements, whole), peak = traced_peak(
+    (nxt, elements, whole, _, _), peak = traced_peak(
         bfs._next_level, 6, SYM, prev, curr, None, None)
     assert np.array_equal(nxt, want) and whole
     assert elements == g6_d7.sphere_sizes[7]
     # the new level twice over while a block is merged in, and 80 bytes
-    # per successor of one block: its canonical keys and orbit sizes, the
-    # dedup's sort and index arrays, and the kernel's working set;
-    # expanding the whole level as one block peaks at 17.4 MiB
+    # per successor of one block: its raw successors, their sort and the
+    # filter's searches, the canonical keys and orbit sizes of the ones
+    # kept, the dedup's sort and index arrays, and the kernel's working
+    # set; expanding the whole level as one block peaks at 17.4 MiB
     assert peak <= 2 * want.nbytes + 80 * bfs._BLOCK
 
 
@@ -82,6 +84,16 @@ def test_classify_skips_the_inexact_level(g6_d7):
     assert table.d_max == 6
     assert table.cells == {c: v for c, v in essential.classify(g6_d7).cells.items()
                            if c[0] <= 6}
+
+
+def test_save_holds_one_slice(g6_d7, tmp_path):
+    path = tmp_path / "g6.db"
+    _, peak = traced_peak(store.save, g6_d7, path)
+    assert np.array_equal(store.load(path).keys, g6_d7.keys)
+    # one slice of 9-byte entries and the header; building the whole
+    # entry block at once peaks at 0.9 MiB for this result
+    assert g6_d7.keys.size > 4 * store._SLICE
+    assert peak <= 2 * 9 * store._SLICE
 
 
 def test_load_holds_the_result_and_one_slice(g6_d7, tmp_path):
