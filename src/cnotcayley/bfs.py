@@ -234,10 +234,8 @@ def _levels(n: int, spec: IsometrySpec, start: int,
 
 
 # successors filtered and canonicalized per memory block.  Blocks of
-# 2^17 explored GL(6,2) to depth 8 a few per cent faster, but their
-# filter temporaries raised the peak RSS of that run by about 1 MB; the
-# smaller block costs all of GL(6,2) about 6,400 more merges into the
-# next level (estimated at about a minute of its 20)
+# 2^17 explored GL(6,2) to depth 8 in about the same time, and their
+# filter temporaries raised the peak RSS of that run by about 1 MB
 _BLOCK = 1 << 16
 # successors between two checks of the orbit budget, so that a capped
 # level stops after the same frontier keys whatever _BLOCK is
@@ -246,19 +244,17 @@ _BUDGET_BLOCK = 1 << 20
 
 def _fresh(raw: np.ndarray, stored) -> np.ndarray:
     """Ascending positions of the successors in ``raw`` to canonicalize:
-    of each value the first, unless it is stored in one of the sorted
-    arrays of ``stored``.  A stored key is canonical, so a successor
-    equal to one lies in a known orbit, and equal successors lie in one
-    orbit."""
+    one position per value, unless the value is stored in one of the
+    sorted arrays of ``stored``.  A stored key is canonical, so a
+    successor equal to one lies in a known orbit, and equal successors
+    lie in one orbit."""
     order = np.argsort(raw)
     raw = raw[order]
     new = np.ones(raw.size, dtype=bool)
     np.not_equal(raw[1:], raw[:-1], out=new[1:])
     for table in stored:
         new &= ~_in_sorted(raw, table)
-    keep = np.empty_like(new)
-    keep[order] = new
-    return np.flatnonzero(keep)
+    return np.sort(order[new])
 
 
 def _next_level(n, spec, prev, curr, executor, budget):

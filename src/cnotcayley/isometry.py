@@ -43,7 +43,9 @@ minimum in one of two ways, chosen by the order:
   small near the identity: indices swapped by a transposition that
   fixes the matrix give isomorphic subtrees, so one of them is expanded
   and the leaf counts carry the class sizes' factorials.  No 8! table
-  is built.
+  is built.  Where a chunk's arrangements would outgrow a bound at one
+  row, its halves go on apart, so its memory does not depend on which
+  keys share it.
 
 ``canonicalize_reference`` is the independent pure-Python enumeration
 used to cross-check both paths in CI.
@@ -69,13 +71,13 @@ path (``_tiled``): a batch is cut into contiguous tiles of at most one
 chunk, run serially or on a worker pool, each writing its own slice of
 the outputs.  ``canonicalize_successors`` canonicalizes the n(n-1)
 successors T*g of a set of keys, or only those at given positions of
-their key-major layout, without ever holding them all: a tile builds
-its successors by row shifts from each source column, and without
-positions a tile is the successors of a run of whole keys.  The BFS
-passes the positions of the successors it has not seen.  TI is
-a graph automorphism with TI(T[i,j]*g) = T[j,i]*TI(g), so the swapped
-successors of the TI column are the TIs of the successors, and no
-successor is ever inverted.
+their key-major layout, without ever holding them all: a tile is a run
+of at most one chunk of those positions, and builds its successors by
+row shifts from each source column.  The BFS passes the positions of
+the successors it has not seen.  TI is a graph automorphism with
+TI(T[i,j]*g) = T[j,i]*TI(g), so the swapped successors of the TI
+column are the TIs of the successors, and no successor is ever
+inverted.
 """
 
 from __future__ import annotations
@@ -191,12 +193,15 @@ def _tables(n: int) -> _PermTables:
 _MATMUL_MAX_ORDER = 7
 # keys per search chunk.  Random keys keep a few live branches each,
 # near-identity keys up to a few hundred (540 at most among the depth-5
-# successors of GL(8,2)); a chunk of 1,024 copies of that worst key
-# peaks at ~60 MB RSS.  So a chunk's peak follows the keys that share
-# it: among the fresh successors of GL(8,2) to depth 5, the heaviest
-# chunk of 1,024 keys peaks at 5.8 MiB traced, one of 512 at 3.6 MiB,
-# at 2-3 % more time
-_SEARCH_CHUNK = 512
+# successors of GL(8,2)), so a chunk's memory follows the keys that
+# share it; ``_SEARCH_CHILDREN`` bounds it.
+_SEARCH_CHUNK = 1024
+# children a search chunk may form at one position, about 49 bytes each
+# at the peak; where a chunk would form more, its halves go on apart.
+# Uncapped, the heaviest chunk of the fresh depth-5 successors of
+# GL(8,2) forms 118,708 children (5.6 MiB traced) and 1,024 copies of
+# its worst key 552,960 (27 MiB); capped, they peak at 3.0 and 4.1 MiB
+_SEARCH_CHILDREN = 1 << 16
 
 
 # below this many keys the scalar inverse beats numpy's fixed cost per
@@ -343,58 +348,79 @@ def _min_stab_search(srcs: np.ndarray, n: int):
     a child may take index i only once i's lower twins are fixed, and
     each leaf stands for prod |class|! arrangements.  TI commutes with
     conjugation, so the key's twin classes are also those of its TI.
+
+    The children's arrays set the search's peak memory.  Where the
+    children at a position would exceed ``_SEARCH_CHILDREN``, each half
+    of the keys takes its branches down from that position on its own,
+    so the peak follows that bound, not the keys that share the block.
     """
     b, s = srcs.shape
     src_rows = _rows(srcs.reshape(-1), n)
     # the twins of column 0, the keys
     lower, weight = _twins(src_rows[::s], n)
+    bit = np.left_shift(np.uint8(1), np.arange(n, dtype=np.uint8))
+    # row p of every key's canonical image, packed once at the end
+    best_rows = np.empty((b, n), dtype=np.uint8)
+
+    def descend(top, lo, hi, group, src, cells, rank):
+        """Leaves per key of keys lo..hi-1, whose branches these are,
+        fixing positions top down to 0."""
+        firsts = np.arange(lo, hi)
+        for p in range(top, -1, -1):
+            # a child takes an index i of p's cell none of whose lower
+            # twins is still in it
+            take = (cells[:, p, None] & (bit | lower[group])) == bit
+            if hi - lo > 1 and np.count_nonzero(take) > _SEARCH_CHILDREN:
+                # too many children at once: each half of the keys takes
+                # its branches down from here
+                del take
+                mid = (lo + hi) // 2
+                cut = np.searchsorted(group, mid)
+                return np.concatenate([
+                    descend(p, lo, mid, group[:cut], src[:cut], cells[:cut], rank[:cut]),
+                    descend(p, mid, hi, group[cut:], src[cut:], cells[cut:], rank[cut:])])
+            par, i = np.nonzero(take)
+            del take
+            row, fixed = src_rows[src[par], i], bit[i]
+            # the children's arrays set the search's peak memory, so few
+            # of them are alive at once; par and i are views of one buffer
+            par = par.copy()
+            del i
+            # the ones of each cell but i's, which position p takes
+            ones = cells[par] & (row & ~fixed)[:, None]
+            # the ones of a cell take its lowest positions; a fixed
+            # position is a singleton of rank 0, so it shows its own bit
+            # of the row (0/1 bytes, formed in place over the popcounts)
+            low = _POPCOUNT8[ones]
+            np.greater(low, rank[par], out=low)
+            low[:, p] = (row & fixed) != 0
+            value = np.packbits(low, axis=1, bitorder="little")[:, 0]
+            # every key keeps a branch and every branch has a child, so
+            # the children's groups run through lo..hi-1 in order
+            group = group[par]
+            best_rows[lo:hi, p] = np.minimum.reduceat(value, np.searchsorted(group, firsts))
+            keep = np.flatnonzero(value == best_rows[group, p])
+            group, par = group[keep], par[keep]
+            ones, low = ones[keep], low[keep]
+            prank = rank[par]
+            # a cell splits into its ones, low, and its zeros but i, high
+            cells = np.where(low, ones, cells[par] & ~(row | fixed)[keep, None])
+            rank = np.where(low, prank, prank - _POPCOUNT8[ones])
+            cells[:, p] = fixed[keep]
+            rank[:, p] = 0
+            src = src[par]
+            # free the children before the next position forms its own
+            del par, row, fixed, ones, low, value, keep, prank
+        return np.bincount(group, minlength=hi)[lo:]
+
     group = np.repeat(np.arange(b), s)
-    src = np.arange(group.size)
     cells = np.full((group.size, n), (1 << n) - 1, dtype=np.uint8)
     # rank of each position in its cell, counted from the cell's bottom
     rank = np.broadcast_to(np.arange(n, dtype=np.uint8), cells.shape)
-    bit = np.left_shift(np.uint8(1), np.arange(n, dtype=np.uint8))
-    firsts = np.arange(b)
-    # row p of every key's canonical image, packed once at the end
-    best_rows = np.empty((b, n), dtype=np.uint8)
-    for p in range(n - 1, -1, -1):
-        # a child takes an index i of p's cell none of whose lower twins
-        # is still in it
-        par, i = np.nonzero((cells[:, p, None] & (bit | lower[group])) == bit)
-        row, fixed = src_rows[src[par], i], bit[i]
-        # the children's arrays set the search's peak memory, so few of
-        # them are alive at once; par and i are views of one buffer
-        par = par.copy()
-        del i
-        # the ones of each cell but i's, which position p takes
-        ones = cells[par] & (row & ~fixed)[:, None]
-        # the ones of a cell take its lowest positions; a fixed position is
-        # a singleton of rank 0, so it shows its own bit of the row
-        # (0/1 bytes, formed in place over the popcounts)
-        low = _POPCOUNT8[ones]
-        np.greater(low, rank[par], out=low)
-        low[:, p] = (row & fixed) != 0
-        value = np.packbits(low, axis=1, bitorder="little")[:, 0]
-        # every key keeps a branch and every branch has a child, so the
-        # children's groups run through 0..b-1 in order
-        group = group[par]
-        best = np.minimum.reduceat(value, np.searchsorted(group, firsts))
-        best_rows[:, p] = best
-        keep = np.flatnonzero(value == best[group])
-        group, par = group[keep], par[keep]
-        ones, low = ones[keep], low[keep]
-        prank = rank[par]
-        # a cell splits into its ones, low, and its zeros but i, high
-        cells = np.where(low, ones, cells[par] & ~(row | fixed)[keep, None])
-        rank = np.where(low, prank, prank - _POPCOUNT8[ones])
-        cells[:, p] = fixed[keep]
-        rank[:, p] = 0
-        src = src[par]
-        # free the children before the next position forms its own
-        del par, row, fixed, ones, low, value, keep, prank
+    leaves = descend(n - 1, 0, b, group, np.arange(group.size), cells, rank)
     canon = np.bitwise_or.reduce(best_rows.astype(np.uint64)
                                  << np.arange(0, n * n, n, dtype=np.uint64), axis=1)
-    return canon, np.bincount(group, minlength=b).astype(np.uint64) * weight
+    return canon, leaves.astype(np.uint64) * weight
 
 
 def _orbit_sizes(stab, n: int, spec: IsometrySpec):
@@ -511,30 +537,25 @@ def canonicalize_successors(keys: np.ndarray, n: int, spec: IsometrySpec,
                             executor=None, at: np.ndarray | None = None
                             ) -> tuple[np.ndarray, np.ndarray]:
     """``canonicalize_batch`` of the successors of keys, or of those at
-    the ascending positions ``at`` of their layout, without holding the
-    successors or their transpose-inverses.
+    the positions ``at`` of their layout, without holding the successors
+    or their transpose-inverses.
 
-    Each tile builds its successors from the keys' source block, whose
-    TI column gives the successors' TIs slot for slot: the positions are
-    cut into tiles of at most one chunk, and the whole layout into tiles
-    of the successors of whole keys, as many as fit in one chunk and at
-    least one.  If an executor is given, tiles run on it concurrently.
+    The positions, all of them or ``at``, are cut into tiles of at most
+    one chunk.  Each tile builds its successors from the keys' source
+    block, whose TI column gives the successors' TIs slot for slot.  If
+    an executor is given, tiles run on it concurrently.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
-    gens = n * (n - 1)
-    count = gens * keys.size if at is None else at.size
+    count = n * (n - 1) * keys.size if at is None else at.size
     if count == 0:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
     srcs = _sources(keys, n, spec)
-    if at is not None:
-        return _tiled(count, _chunk_size(n), lambda part: _canonicalize_chunk(
-            _successors(srcs, n, at[part]), n, spec), executor)
 
     def tile(part: slice) -> tuple[np.ndarray, np.ndarray]:
-        return _canonicalize_chunk(
-            _successors(srcs[part.start // gens:part.stop // gens], n), n, spec)
+        pos = np.arange(part.start, part.stop) if at is None else at[part]
+        return _canonicalize_chunk(_successors(srcs, n, pos), n, spec)
 
-    return _tiled(count, max(1, _chunk_size(n) // gens) * gens, tile, executor)
+    return _tiled(count, _chunk_size(n), tile, executor)
 
 
 # ---------------------------------------------------------------------------

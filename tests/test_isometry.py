@@ -434,9 +434,9 @@ def test_batch_with_given_ti_matches_default(threads):
 def test_results_do_not_depend_on_chunk_size(monkeypatch, n):
     # chunks of 1 and 7 keys fill the outputs slice by slice; a chunk
     # larger than the batch returns the single chunk's arrays.  With four
-    # frontier keys, chunks smaller than one key's successors give tiles
-    # of one key each, and a chunk of three keys' successors gives tiles
-    # of three keys and of one
+    # frontier keys, successor tiles of 1, 3, 7 and 9 positions cut
+    # through keys, and a chunk of three keys' successors gives tiles of
+    # three keys and of one
     frontier = np.append(random_keys(n, 3, 100 + n), np.uint64(identity(n).bits))
     keys = successors(frontier, n)
     expected = {}
@@ -472,7 +472,7 @@ def test_successor_tiles_reraise_a_workers_error(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(isometry, "_canonicalize_chunk", failing)
-    # tiles of the successors of eight keys each
+    # twelve tiles of 100 successors each
     monkeypatch.setattr(_tables(4), "chunk", keys.size)
     with ThreadPoolExecutor(2) as ex:
         with pytest.raises(ConsistencyError, match="injected"):
@@ -654,6 +654,38 @@ def test_search_matches_matmul_on_shallow_balls(explored, n):
     for spec in (SYM, SYM_TI):
         ball = explored(n, spec, 3).keys
         assert_search_matches_matmul(np.concatenate([ball, successors(ball, n)]), n)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_search_splits_at_the_children_cap(explored, monkeypatch, n):
+    # a cap of 40 children splits the keys down to one or two per part,
+    # at many positions, and the results stay those of the whole block
+    ball = explored(n, SYM, 3).keys
+    keys = np.concatenate([ball, successors(ball, n)])
+    monkeypatch.setattr(isometry, "_SEARCH_CHILDREN", 40)
+    assert_search_matches_matmul(keys, n)
+
+
+def test_search_memory_follows_the_children_cap():
+    # the heaviest of the depth-5 successors of GL(8,2) keeps 540 live
+    # branches; a chunk of its copies forms 552,960 children at one
+    # position and peaks at 27 MiB uncapped
+    m = parse_matrix("10101100,01110000,00100000,00010000,"
+                     "00001000,00000100,00000010,00000001")
+    assert m.bits == 0x8040201008040E35
+    keys = np.full(isometry._SEARCH_CHUNK, m.bits, dtype=np.uint64)
+    want = canonicalize(m, SYM)
+    tracemalloc.start()
+    try:
+        canon, sizes = canonicalize_batch(keys, 8, SYM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(canon.tolist()) == {want.key.bits}
+    assert set(sizes.tolist()) == {want.orbit_size}
+    # the children of one half-block and the branches of the blocks it
+    # was cut from: measured 4.1 MiB
+    assert peak < 100 * isometry._SEARCH_CHILDREN
 
 
 def order8_structured_matrices():
