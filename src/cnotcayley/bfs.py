@@ -15,21 +15,32 @@ levels suffices and memory stays proportional to the number of stored
 orbits.
 
 A level is expanded in blocks of at most ``_BLOCK`` successors.  A
-block sorts its raw successors and skips two kinds before the kernel: a
-repeat of another successor of the block, which lies in the same orbit,
-and a successor equal to a key stored in one of the three levels, which
-is canonical and so names a known orbit.  Only the rest go to
+block skips three kinds of raw successor before the kernel.  First, a
+successor T[i,j]*g whose generator a twin symmetry of its frontier key
+g maps onto an earlier one.  Two indices are twins of g when their
+transposition fixes g, so a permutation s of g's twin classes fixes g
+and maps T[i,j]*g to T[s(i),s(j)]*g, a successor of the same key in the
+same orbit.  Only the lowest generator of each such orbit is
+expanded, the isomorph rejection of orderly generation (McKay,
+"Isomorph-free exhaustive generation", 1998); near the identity, where
+the untouched indices are all twins, that drops most successors (7,091
+of 13,048 into level 5 of GL(8,2)).  The others are overwritten in
+place with their frontier key, which the next test drops.  The block
+then sorts its raw successors and skips a repeat of another successor
+of the block, which lies in the same orbit, and a successor equal to a
+key stored in one of the three levels, which is canonical and so names
+a known orbit.  Only the rest go to
 ``isometry.canonicalize_successors``, which builds and canonicalizes
 them at their positions in the layout and, under ``sym-ti``, derives
-their TIs from the frontier keys' TIs.  The skipped successors would
-all have been dropped by the dedup after the kernel, so the levels,
-element counts and budget stops are those of canonicalizing every
-successor; about a third of the successors of GL(6,2) to depth 8 never
-reach the kernel.  Beyond the stored keys, a level's expansion
-holds one block's raw successors, the positions it keeps, their
-canonical keys and the dedup temporaries (a few MiB, whatever the size
-of the level) and, while a block is merged in, a second copy of the
-next level.
+their TIs from the frontier keys' TIs.  Each skipped successor lies in
+the orbit of a successor of the same block that is canonicalized or
+known, so the levels, element counts and budget stops are those of
+canonicalizing every successor; about a third of the successors of
+GL(6,2) to depth 8 never reach the kernel.  Beyond the stored keys, a
+level's expansion holds one block's raw successors, the positions it
+keeps, their canonical keys and the dedup temporaries (a few MiB,
+whatever the size of the level) and, while a block is merged in, a
+second copy of the next level.
 
 Early termination keeps every recorded distance exact: a depth cap
 stops *between* levels (everything recorded is complete), while an
@@ -63,6 +74,7 @@ from .gf2 import BitMatrix, Circuit, Transvection
 from .isometry import (
     IsometrySpec,
     _successors,
+    _twins,
     canonicalize,
     canonicalize_batch,
     canonicalize_successors,
@@ -169,7 +181,7 @@ def isometry_bfs(n: int, spec: IsometrySpec = IsometrySpec.SYM,
     sphere_sizes: list[int] = []
     orbit_counts: list[int] = []
     with _pool(limits.threads) as executor:
-        for keys, elements, whole, successors, canonicalized in _levels(
+        for keys, elements, whole, successors, canonicalized, twins in _levels(
                 n, spec, gf2.identity(n).bits, limits, executor):
             level_keys.append(keys)
             sphere_sizes.append(elements)
@@ -178,6 +190,7 @@ def isometry_bfs(n: int, spec: IsometrySpec = IsometrySpec.SYM,
                 print(f"level {len(level_keys) - 1}: orbits={orbit_counts[-1]} "
                       f"elements={sphere_sizes[-1]} stored={sum(orbit_counts)} "
                       f"successors={successors} canonicalized={canonicalized} "
+                      f"twins={twins} "
                       f"peak_rss={_peak_rss_mb():.1f}MB", file=log, flush=True)
     keys = np.concatenate(level_keys)
     keys.sort()
@@ -198,17 +211,18 @@ def isometry_bfs(n: int, spec: IsometrySpec = IsometrySpec.SYM,
 def _levels(n: int, spec: IsometrySpec, start: int,
             limits: SearchLimits, executor):
     """BFS levels from the orbit of the key ``start``, as (sorted
-    canonical keys, elements, whole, successors, canonicalized) tuples,
-    level 0 first.
+    canonical keys, elements, whole, successors, canonicalized, twins)
+    tuples, level 0 first.
 
     Level b holds the orbits at distance b from the orbit of ``start``,
     and ``elements`` is the exact number of group elements in it, so
     level 0 counts the orbit of ``start`` (1 for the identity).
     ``whole`` is False only on a last level cut short by
     ``limits.max_orbits``.  ``successors`` counts the successors that
-    the expansion into the level generated, and ``canonicalized`` those
-    of them that reached the kernel; level 0 counts no successors and
-    the start as canonicalized.
+    the expansion into the level generated, ``canonicalized`` those of
+    them that reached the kernel and ``twins`` those that the twin rule
+    dropped; level 0 counts no successors and the start as
+    canonicalized.
 
     Only the two newest levels stay referenced here while a level is
     handed out: a suspended generator keeps its locals alive, so the
@@ -216,13 +230,13 @@ def _levels(n: int, spec: IsometrySpec, start: int,
     """
     prev = np.empty(0, dtype=np.uint64)
     curr, sizes = canonicalize_batch(np.array([start], dtype=np.uint64), n, spec)
-    yield curr, int(sizes[0]), True, 0, 1
+    yield curr, int(sizes[0]), True, 0, 1, 0
     stored = 1
     depth = 0
     while limits.max_depth is None or depth < limits.max_depth:
         budget = None if limits.max_orbits is None else limits.max_orbits - stored
         level = _next_level(n, spec, prev, curr, executor, budget)
-        nxt, _, whole, _, _ = level
+        nxt, _, whole, *_ = level
         if nxt.size == 0:
             return
         stored += nxt.size
@@ -257,21 +271,45 @@ def _fresh(raw: np.ndarray, stored) -> np.ndarray:
     return np.sort(order[new])
 
 
+def _drop_twin_images(raw: np.ndarray, keys: np.ndarray, n: int) -> int:
+    """Overwrite in place with its frontier key every successor of the
+    (keys, generators) array ``raw`` whose generator is not lowest in
+    its orbit under the key's twin group; return how many.
+
+    The twin group of g, the symmetric groups on its twin classes, fixes
+    g, so a member s maps T[i,j]*g to T[s(i),s(j)]*g, an isometric
+    successor of the same key.  The lowest (i, j) of an orbit has i
+    lowest in its class and j lowest in its own or second in i's.  The
+    frontier key is stored in the current level, so ``_fresh`` drops
+    every successor written over."""
+    # the generators in (i, j) lex order
+    gi, gj = np.nonzero(~np.eye(n, dtype=bool))
+    lower = _twins(keys, n)
+    drop = lower[:, gi] != 0
+    drop |= (lower[:, gj] & ~np.left_shift(np.uint8(1), gi.astype(np.uint8))) != 0
+    np.copyto(raw, keys[:, None], where=drop)
+    return int(np.count_nonzero(drop))
+
+
 def _next_level(n, spec, prev, curr, executor, budget):
     """The level after ``curr``: sorted keys, their element count,
     whether the level is whole, and how many successors the expansion
-    generated and canonicalized.  Expansion stops after the budget block
-    of frontier keys that takes the number of new keys past ``budget``."""
+    generated, canonicalized and dropped by the twin rule.  Expansion
+    stops after the budget block of frontier keys that takes the number
+    of new keys past ``budget``."""
     gens = max(1, n * (n - 1))
     rows = max(1, _BLOCK // gens)
     budget_rows = max(1, _BUDGET_BLOCK // gens)
     nxt = np.empty(0, dtype=np.uint64)
-    elements = successors = canonicalized = 0
+    elements = successors = canonicalized = twins = 0
     for s in range(0, curr.size, budget_rows):
         stop = min(s + budget_rows, curr.size)
         for t in range(s, stop, rows):
             keys = curr[t:min(t + rows, stop)]
-            at = _fresh(_successors(keys[:, None], n)[:, 0], (prev, curr, nxt))
+            raw = _successors(keys[:, None], n).reshape(keys.size, n * (n - 1))
+            twins += _drop_twin_images(raw, keys, n)
+            at = _fresh(raw.ravel(), (prev, curr, nxt))
+            del raw
             successors += keys.size * n * (n - 1)
             canonicalized += at.size
             canon, sizes = canonicalize_successors(keys, n, spec, executor, at)
@@ -288,8 +326,8 @@ def _next_level(n, spec, prev, curr, executor, budget):
             nxt = np.concatenate([nxt, canon[keep]])
             nxt.sort(kind="stable")
         if budget is not None and nxt.size > budget:
-            return nxt, elements, False, successors, canonicalized
-    return nxt, elements, True, successors, canonicalized
+            return nxt, elements, False, successors, canonicalized, twins
+    return nxt, elements, True, successors, canonicalized, twins
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,10 @@ minimum in one of two ways, chosen by the order:
   keep the image minimal survive each row.  Twin collapse keeps it
   small near the identity: indices swapped by a transposition that
   fixes the matrix give isomorphic subtrees, so one of them is expanded
-  and the leaf counts carry the class sizes' factorials.  No 8! table
+  and the leaf counts carry the class sizes' factorials.  The twin
+  classes come from ``_twins``, one swap test of every index pair on
+  the packed keys, the routine the BFS also uses to expand one
+  successor per orbit of a frontier key's twin symmetries.  No 8! table
   is built.  Where a chunk's arrangements would outgrow a bound at one
   row, its halves go on apart, so its memory does not depend on which
   keys share it.
@@ -198,9 +201,10 @@ _MATMUL_MAX_ORDER = 7
 _SEARCH_CHUNK = 1024
 # children a search chunk may form at one position, about 49 bytes each
 # at the peak; where a chunk would form more, its halves go on apart.
-# Uncapped, the heaviest chunk of the fresh depth-5 successors of
-# GL(8,2) forms 118,708 children (5.6 MiB traced) and 1,024 copies of
-# its worst key 552,960 (27 MiB); capped, they peak at 3.0 and 4.1 MiB
+# Uncapped, the heaviest chunk of the depth-5 successors of GL(8,2) that
+# the BFS canonicalizes peaks at 3.3 MiB traced, and 1,024 copies of the
+# worst depth-5 successor form 552,960 children (27 MiB); capped, they
+# peak at 2.9 and 3.5 MiB
 _SEARCH_CHILDREN = 1 << 16
 
 
@@ -300,31 +304,59 @@ def _rows(keys: np.ndarray, n: int) -> np.ndarray:
     return ((keys[:, None] >> shifts) & np.uint64((1 << n) - 1)).astype(np.uint8)
 
 
-def _twins(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Twin classes of every matrix: i and j are twins when conjugation
-    by the transposition (i j) fixes it.  The relation is an equivalence
-    ((i k) = (i j)(j k)(i j)), and the symmetric group on each class lies
-    in the stabilizer.
+@lru_cache(maxsize=None)
+def _index_pairs(n: int) -> tuple[np.ndarray, ...]:
+    """The index pairs i < j, ordered by j and then i, as (pairs, 1)
+    uint64 columns of i, j, i*n and j*n; the (pairs, 1) uint8 bits of i;
+    and where each j's run starts.  Read-only, since they are shared."""
+    i, j = (np.array(v) for v in zip(*[(i, j) for j in range(n) for i in range(j)]))
+    out = [v.astype(np.uint64)[:, None] for v in (i, j, i * n, j * n)]
+    out.append(np.left_shift(np.uint8(1), i.astype(np.uint8))[:, None])
+    out.append(np.cumsum(np.arange(n - 1)))
+    for v in out:
+        v.flags.writeable = False
+    return tuple(out)
 
-    Returns the (B, n) masks of the twins j < i of each index i and the
-    (B,) products of the class sizes' factorials.
+
+def _twins(keys: np.ndarray, n: int) -> np.ndarray:
+    """(B, n) uint8 masks of the twins j < i of each index i of every
+    packed key.  i and j are twins when conjugation by the transposition
+    (i j) fixes the matrix.  The relation is an equivalence ((i k) =
+    (i j)(j k)(i j)), and the symmetric group on each class lies in the
+    stabilizer.
+
+    One swap test of every index pair on all keys at once: a matrix
+    commutes with (i j) when swapping its rows i and j changes the same
+    bits as swapping its columns i and j.  Each swap is a delta swap of
+    the packed bits, so the test takes the same few numpy calls at any
+    order, on (pairs, B) arrays.
     """
-    idx = np.arange(n, dtype=np.uint8)
-    bit = np.left_shift(np.uint8(1), idx)
-    m = (rows[:, :, None] >> idx) & 1                   # m[b, i, j] = M[i][j]
-    cols = np.bitwise_or.reduce(m << idx[:, None], axis=1)
-    off = ~(bit[:, None] | bit[None, :])                 # all but i and j
-    diag = np.diagonal(m, axis1=1, axis2=2)
-    twin = ((((rows[:, :, None] ^ rows[:, None, :]) & off) == 0)
-            & (((cols[:, :, None] ^ cols[:, None, :]) & off) == 0)
-            & (m == m.transpose(0, 2, 1))
-            & (diag[:, :, None] == diag[:, None, :]))
-    twin &= np.tri(n, k=-1, dtype=bool)
-    lower = np.bitwise_or.reduce(twin * bit, axis=2).astype(np.uint8)
-    # the t-th member of a class has t-1 lower twins: the product of t
-    # over a class is |class|!
-    weight = np.prod(_POPCOUNT8[lower] + np.uint64(1), axis=1, dtype=np.uint64)
-    return lower, weight
+    lower = np.zeros((keys.size, n), dtype=np.uint8)
+    if n < 2:
+        return lower
+    i, j, row_i, row_j, bit_i, starts = _index_pairs(n)
+    x = keys[None, :]
+    # the bits that swapping rows i and j flips
+    rows = x >> row_i
+    rows ^= x >> row_j
+    rows &= np.uint64((1 << n) - 1)
+    flips = rows << row_i
+    rows <<= row_j
+    flips ^= rows
+    del rows
+    # and those that swapping columns i and j flips
+    cols = x >> i
+    cols ^= x >> j
+    cols &= np.uint64(sum(1 << (r * n) for r in range(n)))
+    flips ^= cols << i
+    cols <<= j
+    flips ^= cols
+    del cols
+    twin = (flips == 0) * bit_i
+    del flips
+    # a j's lower twins are distinct bits, so their sum is their mask
+    lower[:, 1:] = np.add.reduceat(twin, starts, axis=0).T
+    return lower
 
 
 def _min_stab_search(srcs: np.ndarray, n: int):
@@ -357,14 +389,18 @@ def _min_stab_search(srcs: np.ndarray, n: int):
     b, s = srcs.shape
     src_rows = _rows(srcs.reshape(-1), n)
     # the twins of column 0, the keys
-    lower, weight = _twins(src_rows[::s], n)
+    lower = _twins(srcs[:, 0], n)
     bit = np.left_shift(np.uint8(1), np.arange(n, dtype=np.uint8))
     # row p of every key's canonical image, packed once at the end
     best_rows = np.empty((b, n), dtype=np.uint8)
 
-    def descend(top, lo, hi, group, src, cells, rank):
-        """Leaves per key of keys lo..hi-1, whose branches these are,
-        fixing positions top down to 0."""
+    def descend(top, lo, hi, branches):
+        """Leaves per key of keys lo..hi-1, fixing positions top down to
+        0.  Their branch arrays are taken out of the list ``branches``,
+        so that once a position replaces them by their children, nothing
+        holds them any more."""
+        group, src, cells, rank = branches
+        branches.clear()
         firsts = np.arange(lo, hi)
         for p in range(top, -1, -1):
             # a child takes an index i of p's cell none of whose lower
@@ -372,13 +408,16 @@ def _min_stab_search(srcs: np.ndarray, n: int):
             take = (cells[:, p, None] & (bit | lower[group])) == bit
             if hi - lo > 1 and np.count_nonzero(take) > _SEARCH_CHILDREN:
                 # too many children at once: each half of the keys takes
-                # its branches down from here
+                # its branches down from here, on copies, so that this
+                # block's branches are freed before either half descends
                 del take
                 mid = (lo + hi) // 2
                 cut = np.searchsorted(group, mid)
-                return np.concatenate([
-                    descend(p, lo, mid, group[:cut], src[:cut], cells[:cut], rank[:cut]),
-                    descend(p, mid, hi, group[cut:], src[cut:], cells[cut:], rank[cut:])])
+                head = [a[:cut].copy() for a in (group, src, cells, rank)]
+                tail = [a[cut:].copy() for a in (group, src, cells, rank)]
+                del group, src, cells, rank
+                return np.concatenate([descend(p, lo, mid, head),
+                                       descend(p, mid, hi, tail)])
             par, i = np.nonzero(take)
             del take
             row, fixed = src_rows[src[par], i], bit[i]
@@ -417,9 +456,12 @@ def _min_stab_search(srcs: np.ndarray, n: int):
     cells = np.full((group.size, n), (1 << n) - 1, dtype=np.uint8)
     # rank of each position in its cell, counted from the cell's bottom
     rank = np.broadcast_to(np.arange(n, dtype=np.uint8), cells.shape)
-    leaves = descend(n - 1, 0, b, group, np.arange(group.size), cells, rank)
+    leaves = descend(n - 1, 0, b, [group, np.arange(group.size), cells, rank])
     canon = np.bitwise_or.reduce(best_rows.astype(np.uint64)
                                  << np.arange(0, n * n, n, dtype=np.uint64), axis=1)
+    # the t-th member of a twin class has t-1 lower twins: the product of
+    # t over a class is |class|!
+    weight = np.prod(_POPCOUNT8[lower] + np.uint64(1), axis=1, dtype=np.uint64)
     return canon, leaves.astype(np.uint64) * weight
 
 

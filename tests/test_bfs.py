@@ -1,6 +1,7 @@
 """The reduced exploration against published tables and a naive oracle,
 plus synthesis, bidirectional probing, limits and determinism."""
 
+import itertools
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -141,7 +142,7 @@ def test_levels_from_an_orbit_match_oracle(n, spec, oracle_dist):
                 from_orbit, from_identity[np.searchsorted(group, moved)])
         levels = list(_levels(n, spec, start.bits, SearchLimits(), None))
         assert len(levels) == from_orbit.max() + 1
-        for b, (level, elements, whole, _, _) in enumerate(levels):
+        for b, (level, elements, whole, *_) in enumerate(levels):
             at_b = from_orbit == b
             assert whole and elements == int(at_b.sum())
             assert np.array_equal(level, np.unique(canon[at_b]))
@@ -173,16 +174,16 @@ def next_level_unfiltered(n, spec, prev, curr, budget):
 
 @pytest.fixture(scope="module")
 def unfiltered(explored):
-    """Every level after the first of a whole exploration, as
-    (previous level, level, the level after it unfiltered)."""
+    """Every level after the first of an exploration, whole or to a
+    depth, as (previous level, level, the level after it unfiltered)."""
     cache = {}
 
-    def get(n, spec):
-        if (n, spec) not in cache:
-            cache[n, spec] = [
+    def get(n, spec, depth=None):
+        if (n, spec, depth) not in cache:
+            cache[n, spec, depth] = [
                 (prev, curr, next_level_unfiltered(n, spec, prev, curr, None))
-                for prev, curr in level_pairs(explored(n, spec))]
-        return cache[n, spec]
+                for prev, curr in level_pairs(explored(n, spec, depth))]
+        return cache[n, spec, depth]
     return get
 
 
@@ -194,19 +195,26 @@ def level_pairs(res):
 
 
 def assert_same_level(got, want):
-    nxt, elements, whole, successors, canonicalized = got
+    nxt, elements, whole, successors, canonicalized, twins = got
     assert nxt.dtype == np.uint64
     assert np.array_equal(nxt, want[0])
     assert (elements, whole) == want[1:]
-    assert canonicalized <= successors
+    assert canonicalized + twins <= successors
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8])
 @pytest.mark.parametrize("spec", ["sym", "sym-ti"])
 def test_filtered_level_matches_every_successor_canonicalized(unfiltered, n, spec):
+    # whole groups up to order 5; at orders 7 and 8 the levels up to
+    # depth 4, whose untouched indices make the twin rule drop the most
     spec = IsometrySpec(spec)
-    for prev, curr, want in unfiltered(n, spec):
-        assert_same_level(bfs._next_level(n, spec, prev, curr, None, None), want)
+    levels = unfiltered(n, spec, None if n <= 5 else 4)
+    dropped = 0
+    for prev, curr, want in levels:
+        got = bfs._next_level(n, spec, prev, curr, None, None)
+        assert_same_level(got, want)
+        dropped += got[5]
+    assert dropped > 0
 
 
 @pytest.mark.parametrize("n, spec, block", [(4, "sym", 36), (5, "sym-ti", 2000)])
@@ -240,12 +248,22 @@ def distinct(values):
     return np.concatenate([values[:1], values[1:][values[1:] != values[:-1]]])
 
 
+def representatives(raw, keys, n):
+    """The successors in the (keys, generators) array ``raw`` at the
+    positions the twin rule keeps: those it leaves unequal to their key,
+    since no successor T*g equals g."""
+    raw = raw.copy()
+    bfs._drop_twin_images(raw, keys, n)
+    return raw[raw != keys[:, None]]
+
+
 @pytest.mark.parametrize("n, spec, block", [(4, "sym", 120), (5, "sym-ti", 8000)])
 def test_only_fresh_successors_reach_the_kernel(explored, monkeypatch, n, spec, block):
     # in blocks of 10 and 400 frontier keys, exactly the distinct raw
-    # successors stored in none of the previous, current and accruing
-    # next level reach the kernel, under sym-ti each with its TI;
-    # canonicalizing every successor would send more
+    # successors at representative positions of the twin rule (checked
+    # against its own oracle below) stored in none of the previous,
+    # current and accruing next level reach the kernel, under sym-ti each
+    # with its TI; canonicalizing every successor would send more
     spec = IsometrySpec(spec)
     pairs = level_pairs(explored(n, spec))
     monkeypatch.setattr(bfs, "_BLOCK", block)
@@ -266,7 +284,7 @@ def test_only_fresh_successors_reach_the_kernel(explored, monkeypatch, n, spec, 
     dropped = 0
     for prev, curr in pairs:
         sent.clear()
-        nxt, _, _, successors, canonicalized = bfs._next_level(
+        nxt, _, _, successors, canonicalized, twins = bfs._next_level(
             n, spec, prev, curr, None, None)
         assert len(sent) == -(-curr.size // rows)
         assert successors == curr.size * n * (n - 1)
@@ -275,8 +293,11 @@ def test_only_fresh_successors_reach_the_kernel(explored, monkeypatch, n, spec, 
         stored = np.sort(np.concatenate([prev, curr]))
         known = stored
         for k, srcs in enumerate(blocks):
-            raw = isometry._successors(curr[k * rows:(k + 1) * rows, None], n)[:, 0]
-            fresh = distinct(raw)
+            keys = curr[k * rows:(k + 1) * rows]
+            raw = isometry._successors(keys[:, None], n).reshape(keys.size, -1)
+            kept = representatives(raw, keys, n)
+            twins -= raw.size - kept.size
+            fresh = distinct(kept)
             fresh = fresh[~np.isin(fresh, known)]
             assert np.array_equal(np.sort(srcs[:, 0]), fresh)
             if spec.uses_ti:
@@ -285,9 +306,93 @@ def test_only_fresh_successors_reach_the_kernel(explored, monkeypatch, n, spec, 
             dropped += raw.size - srcs.shape[0]
             canon = canonicalize_batch(srcs[:, 0], n, spec)[0]
             known = np.sort(np.concatenate([known, canon]))
-        assert canonicalized == 0
+        assert canonicalized == 0 and twins == 0
         assert np.array_equal(distinct(known[~np.isin(known, stored)]), nxt)
     assert dropped > 0
+
+
+# ---------------------------------------------------------------------------
+# the twin rule
+# ---------------------------------------------------------------------------
+
+
+def transposition(n, i, j):
+    """The permutation swapping 0-based indices i and j."""
+    images = list(range(1, n + 1))
+    images[i], images[j] = j + 1, i + 1
+    return gf2.Permutation(n, tuple(images))
+
+
+def twin_masks_oracle(bits, n):
+    """For each index i, the mask of the j < i whose transposition
+    fixes the matrix under conjugation, in pure Python."""
+    m = gf2.BitMatrix(n, bits)
+    return [sum(1 << j for j in range(i)
+                if gf2.conjugate_by_perm(transposition(n, i, j), m) == m)
+            for i in range(n)]
+
+
+def kept_generators_oracle(lower, n):
+    """The generators (i, j) first in (i, j) order in their orbit under
+    the group the twin transpositions generate, each orbit closed by
+    brute force."""
+    swaps = [(i, j) for i in range(n) for j in range(i) if lower[i] >> j & 1]
+    seen, kept = set(), set()
+    for pair in itertools.permutations(range(n), 2):
+        if pair in seen:
+            continue
+        kept.add(pair)
+        orbit, stack = {pair}, [pair]
+        while stack:
+            p = stack.pop()
+            for a, b in swaps:
+                q = tuple(b if x == a else a if x == b else x for x in p)
+                if q not in orbit:
+                    orbit.add(q)
+                    stack.append(q)
+        seen |= orbit
+    return kept
+
+
+def twin_rule_keys(explored):
+    """(order, packed keys): identities, permutation matrices, keys with
+    two non-trivial twin classes, and the BFS keys of whole groups up to
+    order 4 and of balls to depth 4 at orders 5 to 8."""
+    cases = [(n, [identity(n).bits]) for n in range(1, 9)]
+    for n, text in [(4, "(1 2)(3 4)"), (5, "(1 2 3)"), (6, "(1 2)(3 4 5)"),
+                    (8, "(1 2)(3 4)(5 6)(7 8)"), (8, "(1 2 3 4 5 6 7 8)")]:
+        cases.append((n, [perm_matrix(parse_perm(text, n)).bits]))
+    # row 6 adds rows 1 and 2: classes {1, 2} and {3, 4, 5}; the same
+    # with the transpose of the 3x3 block of ones: {1, 2, 3}, {4, 5}
+    cases.append((6, [parse_matrix("100000,010000,001000,000100,000010,110001").bits,
+                      parse_matrix("100110,010110,001110,000100,000010,000001").bits]))
+    for n in range(2, 9):
+        cases.append((n, explored(n, IsometrySpec.SYM, None if n <= 4 else 4).keys.tolist()))
+    return cases
+
+
+def test_twin_masks_and_rule_match_oracle(explored):
+    two_classes = 0
+    for n, keys in twin_rule_keys(explored):
+        keys = np.array(keys, dtype=np.uint64)
+        lower = isometry._twins(keys, n)
+        raw = isometry._successors(keys[:, None], n).reshape(keys.size, -1)
+        succ = raw.copy()
+        dropped = bfs._drop_twin_images(raw, keys, n)
+        gens = list(itertools.permutations(range(n), 2))
+        for k, key in enumerate(keys.tolist()):
+            want = twin_masks_oracle(key, n)
+            assert lower[k].tolist() == want
+            classes = sum(1 for i in range(n) if want[i] and not any(
+                want[j] >> i & 1 for j in range(i + 1, n)))
+            two_classes += classes >= 2
+            kept = kept_generators_oracle(want, n)
+            for g, pair in enumerate(gens):
+                # a dropped successor is overwritten by its key
+                assert raw[k, g] == (succ[k, g] if pair in kept else key)
+            dropped -= len(gens) - len(kept)
+        assert dropped == 0
+    assert two_classes >= 3
 
 
 def test_distance_symmetry_under_inverse(explored):
@@ -350,7 +455,7 @@ def test_multithreaded_run_is_identical(explored):
 
 @pytest.mark.parametrize("n, spec, depth", [
     (5, "sym-ti", None),
-    (8, "sym", 4),
+    (8, "sym", 5),
 ])
 def test_threaded_run_uses_the_pool(explored, monkeypatch, n, spec, depth):
     # the pool gets one task per chunk, and only from batches that span

@@ -80,6 +80,13 @@ def test_explore_progress_on_stderr(capsys):
     assert "level" not in out
 
 
+def test_explore_progress_counts_twins(capsys):
+    # the level-1 key of GL(4,2) leaves two indices untouched, and they
+    # are twins: the rule keeps 7 of its 12 generators
+    _, _, err = invoke(capsys, "explore", "--n", "4", "--max-depth", "2")
+    assert "level 2: orbits=6 elements=96 stored=8 successors=12 canonicalized=6 twins=5 " in err
+
+
 def test_dist(capsys, g3_db):
     code, out, _ = invoke(capsys, "dist", "--db", g3_db,
                           "--matrix", "111,010,011")

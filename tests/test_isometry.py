@@ -683,8 +683,8 @@ def test_search_memory_follows_the_children_cap():
         tracemalloc.stop()
     assert set(canon.tolist()) == {want.key.bits}
     assert set(sizes.tolist()) == {want.orbit_size}
-    # the children of one half-block and the branches of the blocks it
-    # was cut from: measured 4.1 MiB
+    # the children of one half-block and the branches of the halves
+    # still waiting: measured 3.5 MiB
     assert peak < 100 * isometry._SEARCH_CHILDREN
 
 

@@ -45,7 +45,7 @@ def test_next_level_holds_one_block(g6_d7):
     levels = [g6_d7.keys[g6_d7.dists == d] for d in (5, 6, 7)]
     prev, curr, want = levels
     assert curr.size * 30 > 3 * bfs._BLOCK
-    (nxt, elements, whole, _, _), peak = traced_peak(
+    (nxt, elements, whole, *_), peak = traced_peak(
         bfs._next_level, 6, SYM, prev, curr, None, None)
     assert np.array_equal(nxt, want) and whole
     assert elements == g6_d7.sphere_sizes[7]
