@@ -39,7 +39,14 @@ minimum in one of two ways, chosen by the order:
   arrangements whose candidate cells are refined by the rows already
   placed, in the individualize-and-refine style of McKay and Piperno,
   "Practical graph isomorphism II" (2014).  Only arrangements that
-  keep the image minimal survive each row.  Twin collapse keeps it
+  keep the image minimal survive each row.  A branch holds its cells
+  and its ranks as one uint64 each, lane q (bits 8q..8q+7) for position
+  q, and lanes n..7 zero below order 8.  So each row costs a few
+  whole-word operations per branch: a per-lane popcount, a per-lane
+  compare of rank and count, and one multiply that gathers the row's
+  bits.  A rank is at most 7 and a count at most 8, so each lane of
+  (rank | 0x80) - count stays in 0x78..0x87: no lane borrows from the
+  next.  Twin collapse keeps it
   small near the identity: indices swapped by a transposition that
   fixes the matrix give isomorphic subtrees, so one of them is expanded
   and the leaf counts carry the class sizes' factorials.  The twin
@@ -86,6 +93,7 @@ inverted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -98,7 +106,16 @@ from .errors import ConsistencyError, SingularError
 from .gf2 import BitMatrix, Permutation
 
 _U1 = np.uint64(1)
-_POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+# the lanes of the order-8 search's branch state (see ``_min_stab_search``):
+# bit 0 and bit 7 of every lane; the gather of the eight top bits into
+# the top byte, lane q to bit 56 + q; and, per index i, every index but i
+# in every lane
+_LANES = np.uint64(0x0101010101010101)
+_TOPS = np.uint64(0x8080808080808080)
+_GATHER = np.uint64(0x0002040810204081)
+_OTHERS = np.array([(0xFF ^ (1 << i)) * 0x0101010101010101 for i in range(8)],
+                   dtype=np.uint64)
+_BITS = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))
 
 
 class IsometrySpec(Enum):
@@ -165,7 +182,7 @@ class _PermTables:
         self.row_mask = np.uint64((1 << n) - 1)
         self.row_index = idx << np.uint64(n)
         r = np.arange(1 << n)
-        self.score = (_POPCOUNT8[r] + (n - 1) * ((r >> np.arange(n)[:, None]) & 1)
+        self.score = (np.bitwise_count(r) + (n - 1) * ((r >> np.arange(n)[:, None]) & 1)
                       ).astype(np.uint8).ravel()
         self.score_list = self.score.tolist()
         self.swap = np.empty((n, n * n), dtype=np.uint64)
@@ -189,22 +206,24 @@ def _tables(n: int) -> _PermTables:
 
 
 # larger orders run the lex-leader search: their packed images, up to
-# 2^64, no longer fit a double exactly.  Up to order 7 the pruned product
-# is the faster kernel: on depth-5 successors at n=7, 5-7.5 us per
-# successor against the search's 11-14.5 under sym, 11.5-12.5 against
-# 14-19.5 under sym-ti
+# 2^64, no longer fit a double exactly.  On the successors of the depth-5
+# ball, per successor, the pruned product beats the search at n=6 (1.05
+# us against 2.3-2.4 under sym, 1.4-1.7 against 2.3-2.9 under sym-ti); at
+# n=7 the search is ahead (3.1-3.3 against 5.3-5.6, 4.6-4.8 against
+# 8.7-8.9), but one key costs it 380-500 us against the product's 23-141,
+# and one-key calls set the queries' latency
 _MATMUL_MAX_ORDER = 7
 # keys per search chunk.  Random keys keep a few live branches each,
 # near-identity keys up to a few hundred (540 at most among the depth-5
 # successors of GL(8,2)), so a chunk's memory follows the keys that
 # share it; ``_SEARCH_CHILDREN`` bounds it.
 _SEARCH_CHUNK = 1024
-# children a search chunk may form at one position, about 49 bytes each
+# children a search chunk may form at one position, about 45 bytes each
 # at the peak; where a chunk would form more, its halves go on apart.
 # Uncapped, the heaviest chunk of the depth-5 successors of GL(8,2) that
-# the BFS canonicalizes peaks at 3.3 MiB traced, and 1,024 copies of the
-# worst depth-5 successor form 552,960 children (27 MiB); capped, they
-# peak at 2.9 and 3.5 MiB
+# the BFS canonicalizes peaks at 3.1 MiB traced, and 1,024 copies of the
+# worst depth-5 successor form 552,960 children (23.7 MiB); capped, they
+# peak at 2.7 and 3.2 MiB
 _SEARCH_CHILDREN = 1 << 16
 
 
@@ -359,21 +378,49 @@ def _twins(keys: np.ndarray, n: int) -> np.ndarray:
     return lower
 
 
+def _lane(a: np.ndarray, q: int) -> np.ndarray:
+    """Lane q of a contiguous uint64 array, as a strided uint8 view."""
+    return a.view(np.uint8)[q if sys.byteorder == "little" else 7 - q::8]
+
+
 def _min_stab_search(srcs: np.ndarray, n: int):
     """Canonical key and stabilizer order of each row of a source block
     by a lex-leader search, without enumerating the n! images.
 
     A branch is a partial arrangement tau (position -> index) with an
     ordered partition of the positions into cells, held per position as
-    the index mask of its cell and its rank in the cell.  Positions are
-    fixed from n-1, the most significant image row, down.  At position p each
-    child takes tau(p) from p's cell and splits every cell by the bits
-    of row tau(p), zeros at the higher positions: that is the exact
-    minimum of image row p for this choice.  Per key only the children
-    whose row equals the key's minimum survive.  Each source seeds a
-    branch into its key's group.  The leaves are then exactly the group
-    elements that map the key to its canonical image, and their count is
-    the stabilizer order.
+    the index mask of its cell and its rank in the cell, counted from the
+    cell's bottom.  Positions are fixed from n-1, the most significant
+    image row, down.  At position p each child takes tau(p) from p's
+    cell and splits every cell by the bits of row tau(p), zeros at the
+    higher positions: that is the exact minimum of image row p for this
+    choice.  Per key only the children whose row equals the key's
+    minimum survive.  Each source seeds a branch into its key's group.
+    The leaves are then exactly the group elements that map the key to
+    its canonical image, and their count is the stabilizer order.
+
+    A branch holds its cells in one uint64 and its ranks in another, 8
+    lanes of 8 bits with lane q for position q; lanes q >= n stay zero.
+    A position is fixed from its top down, so p is the top of its cell:
+    its rank is the cell's size less one.  The step at position p works
+    on all lanes at once, in the manner of Warren, "Hacker's Delight"
+    (2nd ed., 2012), ch. 5-7:
+
+    * the ones of row i in each cell but i are the cells ANDed with
+      (row i without i) * 0x0101...01, and ``np.bitwise_count`` on the
+      uint8 view counts them per lane;
+    * a position takes a zero when its rank is at least its cell's count
+      of ones: the top bit of ((rank | 0x80...) - count) per lane.
+      Rank <= 7 and count <= 8 keep each lane within 0x78..0x87, so no
+      lane borrows from the next.  Lane p, where this always holds, is
+      then toggled to the complement of i's diagonal bit;
+    * one multiply by 0x0002...81 gathers the eight top bits into the
+      top byte, lane q to bit 56 + q, with no carries: shifted down, the
+      complement of image row p;
+    * the cells split by a lane mask: the ones of the row in lanes that
+      take a one, its zeros but i in those that take a zero; only these
+      subtract their count from their rank, which is at least that
+      count, so no lane borrows.  Lane p then takes i at rank 0.
 
     Twin collapse: twins stay in one cell until they are fixed, and
     taking one twin instead of another gives an isomorphic subtree.  So
@@ -381,31 +428,43 @@ def _min_stab_search(srcs: np.ndarray, n: int):
     each leaf stands for prod |class|! arrangements.  TI commutes with
     conjugation, so the key's twin classes are also those of its TI.
 
-    The children's arrays set the search's peak memory.  Where the
+    The children's arrays set the search's peak memory: the kept ones
+    are chosen before their cells and ranks are formed.  Where the
     children at a position would exceed ``_SEARCH_CHILDREN``, each half
     of the keys takes its branches down from that position on its own,
     so the peak follows that bound, not the keys that share the block.
     """
     b, s = srcs.shape
-    src_rows = _rows(srcs.reshape(-1), n)
-    # the twins of column 0, the keys
+    bit = _BITS[:n]
+    # per row k = source * n + index i: row i of the source without i in
+    # every lane, and whether it holds i, in the top bit of every lane
+    rows = _rows(srcs.reshape(-1), n)
+    ones_of = ((rows & ~bit) * _LANES).reshape(-1)
+    diag_of = (((rows & bit) != 0) * _TOPS).reshape(-1)
+    del rows
+    # the twins of column 0, the keys, and per key a uint64 whose lane i
+    # holds i and its lower twins
     lower = _twins(srcs[:, 0], n)
-    bit = np.left_shift(np.uint8(1), np.arange(n, dtype=np.uint8))
-    # row p of every key's canonical image, packed once at the end
-    best_rows = np.empty((b, n), dtype=np.uint8)
+    bit_lower = np.zeros((b, 8), dtype=np.uint8)
+    bit_lower[:, :n] = bit | lower
+    bit_lower = bit_lower.view(np.uint64).reshape(-1)
+    # the complement of row p of every key's canonical image
+    best_rows = np.empty((n, b), dtype=np.uint8)
 
     def descend(top, lo, hi, branches):
         """Leaves per key of keys lo..hi-1, fixing positions top down to
         0.  Their branch arrays are taken out of the list ``branches``,
         so that once a position replaces them by their children, nothing
         holds them any more."""
-        group, src, cells, rank = branches
+        group, base, cells, rank = branches
         branches.clear()
         firsts = np.arange(lo, hi)
         for p in range(top, -1, -1):
             # a child takes an index i of p's cell none of whose lower
-            # twins is still in it
-            take = (cells[:, p, None] & (bit | lower[group])) == bit
+            # twins is still in it: (branches, 8), lane by lane
+            take = bit_lower[group]
+            take &= _lane(cells, p) * _LANES
+            take = take.view(np.uint8).reshape(-1, 8) == _BITS
             if hi - lo > 1 and np.count_nonzero(take) > _SEARCH_CHILDREN:
                 # too many children at once: each half of the keys takes
                 # its branches down from here, on copies, so that this
@@ -413,55 +472,95 @@ def _min_stab_search(srcs: np.ndarray, n: int):
                 del take
                 mid = (lo + hi) // 2
                 cut = np.searchsorted(group, mid)
-                head = [a[:cut].copy() for a in (group, src, cells, rank)]
-                tail = [a[cut:].copy() for a in (group, src, cells, rank)]
-                del group, src, cells, rank
+                head = [a[:cut].copy() for a in (group, base, cells, rank)]
+                tail = [a[cut:].copy() for a in (group, base, cells, rank)]
+                del group, base, cells, rank
                 return np.concatenate([descend(p, lo, mid, head),
                                        descend(p, mid, hi, tail)])
-            par, i = np.nonzero(take)
+            # each child as branch * 8 + i, then as the table row of i in
+            # its source; the children's arrays set the search's peak
+            # memory, so few of them are alive at once
+            row = np.flatnonzero(take)
             del take
-            row, fixed = src_rows[src[par], i], bit[i]
-            # the children's arrays set the search's peak memory, so few
-            # of them are alive at once; par and i are views of one buffer
-            par = par.copy()
-            del i
-            # the ones of each cell but i's, which position p takes
-            ones = cells[par] & (row & ~fixed)[:, None]
-            # the ones of a cell take its lowest positions; a fixed
-            # position is a singleton of rank 0, so it shows its own bit
-            # of the row (0/1 bytes, formed in place over the popcounts)
-            low = _POPCOUNT8[ones]
-            np.greater(low, rank[par], out=low)
-            low[:, p] = (row & fixed) != 0
-            value = np.packbits(low, axis=1, bitorder="little")[:, 0]
+            par = row >> 3
+            row &= 7
+            i = row.astype(np.uint8)
+            row += base[par]
+            count = cells[par]
+            count &= ones_of[row]
+            np.bitwise_count(count.view(np.uint8), out=count.view(np.uint8))
+            # the top bit of each lane whose position takes a zero, then
+            # that of lane p toggled by i's diagonal bit, gathered into
+            # the complement of image row p
+            value = rank[par]
+            value |= _TOPS
+            value -= count
+            del count
+            value &= _TOPS
+            diag = diag_of[row]
+            diag &= np.uint64(0x80 << 8 * p)
+            value ^= diag
+            del diag
+            value *= _GATHER
+            value >>= np.uint64(56)
             # every key keeps a branch and every branch has a child, so
             # the children's groups run through lo..hi-1 in order
             group = group[par]
-            best_rows[lo:hi, p] = np.minimum.reduceat(value, np.searchsorted(group, firsts))
-            keep = np.flatnonzero(value == best_rows[group, p])
-            group, par = group[keep], par[keep]
-            ones, low = ones[keep], low[keep]
-            prank = rank[par]
-            # a cell splits into its ones, low, and its zeros but i, high
-            cells = np.where(low, ones, cells[par] & ~(row | fixed)[keep, None])
-            rank = np.where(low, prank, prank - _POPCOUNT8[ones])
-            cells[:, p] = fixed[keep]
-            rank[:, p] = 0
-            src = src[par]
+            best = best_rows[p]
+            best[lo:hi] = np.maximum.reduceat(value, np.searchsorted(group, firsts))
+            keep = np.flatnonzero(value == best[group])
+            del value
+            if keep.size < group.size:
+                group = group[keep]
+                par = par[keep]
+                row = row[keep]
+                i = i[keep]
+            del keep
+            # the kept children's cells and ranks: where a position takes
+            # a one, the ones of row i in its cell and its rank; where it
+            # takes a zero, the zeros but i and the rank less the ones
+            cells = cells[par]
+            rank = rank[par]
+            del par
+            count = ones_of[row]
+            count &= cells
+            np.bitwise_count(count.view(np.uint8), out=count.view(np.uint8))
+            zero = rank | _TOPS
+            zero -= count
+            zero &= _TOPS
+            zero >>= np.uint64(7)
+            zero *= np.uint64(0xFF)
+            count &= zero
+            rank -= count
+            del count
+            zero ^= ones_of[row]
+            zero &= _OTHERS[i]
+            cells &= zero
+            del zero
+            _lane(cells, p)[:] = bit[i]
+            _lane(rank, p)[:] = 0
+            base = row
+            base -= i
             # free the children before the next position forms its own
-            del par, row, fixed, ones, low, value, keep, prank
+            del row, i
         return np.bincount(group, minlength=hi)[lo:]
 
     group = np.repeat(np.arange(b), s)
-    cells = np.full((group.size, n), (1 << n) - 1, dtype=np.uint8)
-    # rank of each position in its cell, counted from the cell's bottom
-    rank = np.broadcast_to(np.arange(n, dtype=np.uint8), cells.shape)
-    leaves = descend(n - 1, 0, b, [group, np.arange(group.size), cells, rank])
+    cells = np.full(group.size, ((1 << n) - 1) * sum(1 << 8 * q for q in range(n)),
+                    dtype=np.uint64)
+    rank = np.full(group.size, sum(q << 8 * q for q in range(n)), dtype=np.uint64)
+    # each source seeds a branch, whose base is its source's first table row
+    leaves = descend(n - 1, 0, b, [group, np.arange(0, group.size * n, n), cells, rank])
+    # descend refers to itself: dropping the name breaks that cycle, so
+    # that its tables go with this call, not at the next collection
+    del descend
+    best_rows = ~best_rows
+    best_rows &= np.uint8((1 << n) - 1)
     canon = np.bitwise_or.reduce(best_rows.astype(np.uint64)
-                                 << np.arange(0, n * n, n, dtype=np.uint64), axis=1)
+                                 << np.arange(0, n * n, n, dtype=np.uint64)[:, None], axis=0)
     # the t-th member of a twin class has t-1 lower twins: the product of
     # t over a class is |class|!
-    weight = np.prod(_POPCOUNT8[lower] + np.uint64(1), axis=1, dtype=np.uint64)
+    weight = np.prod(np.bitwise_count(lower) + np.uint64(1), axis=1, dtype=np.uint64)
     return canon, leaves.astype(np.uint64) * weight
 
 

@@ -669,7 +669,7 @@ def test_search_splits_at_the_children_cap(explored, monkeypatch, n):
 def test_search_memory_follows_the_children_cap():
     # the heaviest of the depth-5 successors of GL(8,2) keeps 540 live
     # branches; a chunk of its copies forms 552,960 children at one
-    # position and peaks at 27 MiB uncapped
+    # position and peaks at 23.7 MiB uncapped
     m = parse_matrix("10101100,01110000,00100000,00010000,"
                      "00001000,00000100,00000010,00000001")
     assert m.bits == 0x8040201008040E35
@@ -684,7 +684,7 @@ def test_search_memory_follows_the_children_cap():
     assert set(canon.tolist()) == {want.key.bits}
     assert set(sizes.tolist()) == {want.orbit_size}
     # the children of one half-block and the branches of the halves
-    # still waiting: measured 3.5 MiB
+    # still waiting: measured 3.2 MiB
     assert peak < 100 * isometry._SEARCH_CHILDREN
 
 
@@ -708,6 +708,31 @@ def test_search_matches_oracle_on_structured_order8(name):
     m = order8_structured_matrices()[name]
     for spec in (SYM, SYM_TI):
         assert canonicalize(m, spec) == canonicalize_reference(m, spec)
+
+
+def test_search_matches_oracle_on_order8_words(monkeypatch):
+    # only at n = 8 are all eight lanes of the search's branch state
+    # live, and there is no matmul to compare with: three words of each
+    # length 1..8 over the transvections, against the plain enumeration,
+    # scalar and batched, whole and split at a cap of 40 children
+    rng = random.Random(180)
+    gens = all_transvections(8)
+    words = []
+    for length in range(1, 9):
+        for _ in range(3):
+            m = identity(8)
+            for _ in range(length):
+                m = apply_transvection(rng.choice(gens), m)
+            words.append(m)
+    keys = np.array([m.bits for m in words], dtype=np.uint64)
+    for spec in (SYM, SYM_TI):
+        ref = [canonicalize_reference(m, spec) for m in words]
+        assert [canonicalize(m, spec) for m in words] == ref
+        expected = ([r.key.bits for r in ref], [r.orbit_size for r in ref])
+        for cap in (isometry._SEARCH_CHILDREN, 40):
+            monkeypatch.setattr(isometry, "_SEARCH_CHILDREN", cap)
+            canon, sizes = canonicalize_batch(keys, 8, spec)
+            assert (canon.tolist(), sizes.tolist()) == expected
 
 
 def test_order8_builds_no_permutation_table(monkeypatch):
