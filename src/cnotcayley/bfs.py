@@ -196,9 +196,13 @@ def isometry_bfs(n: int, spec: IsometrySpec = IsometrySpec.SYM,
     keys.sort()
     dists = np.empty(keys.size, dtype=np.uint8)
     for d in range(len(level_keys)):
-        # orbits are disjoint, so every key sits in exactly one level
-        dists[np.searchsorted(keys, level_keys[d])] = d
-        level_keys[d] = None
+        # orbits are disjoint, so every key sits in exactly one level; a
+        # level is placed a block at a time, so that no index array of a
+        # whole level exists
+        level = level_keys[d]
+        for s in range(0, level.size, _BLOCK):
+            dists[np.searchsorted(keys, level[s:s + _BLOCK])] = d
+        level_keys[d] = level = None
     res = ExplorationResult(n=n, spec=spec, keys=keys, dists=dists,
                             sphere_sizes=sphere_sizes, orbit_counts=orbit_counts,
                             last_level_complete=whole)

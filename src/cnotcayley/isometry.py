@@ -11,29 +11,45 @@ The canonical representative of an orbit is *defined* as the minimum
 packed value over the orbit.  ``canonicalize`` computes exactly that
 minimum in one of two ways, chosen by the order:
 
-* n <= 7: a one-level pruned product.  Image row n-1, the most
-  significant, is the source row of the index sent to n-1, with its
-  diagonal bit on top and its off-diagonal ones packed low at best.  So
-  the minimum sends to n-1 an index whose row minimizes (diagonal bit,
-  off-diagonal weight) among the rows of the key and, under ``sym-ti``,
-  of its transpose-inverse.  Each such (source, index) pair is unpacked
-  with the index swapped to n-1, by one gather through a per-order
-  table of source bits.  Its (n-1)! conjugates that fix n-1 are then an
-  exact float64 matrix product of the bit vector with a table of
-  per-permutation bit weights (packed values below 2^49 fit a double
-  exactly).  BFS successors have 1.2 to 1.8 pairs per key, so most of
-  the n! images per key are never formed.  Each chunk's ((n-1)! x
-  pairs) image plane is written once and read twice (for the minimum
-  and for the stabilizer count).  Chunks are therefore sized for two
-  pairs per key, so that the plane and the unpacked bits, 2 MiB, stay
-  in a core's L2 cache (840 keys at n=6, 170 at n=7) and their memory
-  is reused by the next chunk, as in the cache blocking of Goto and van
-  de Geijn, "Anatomy of high-performance matrix multiplication" (2008).
-  Keys whose indices all tie, such as permutation matrices, bring n
-  pairs each (2n under ``sym-ti``).  A single key picks its pairs on
-  Python ints, where numpy's fixed cost per call would dominate.
-  Fixing the top row before the product is the first level of the
-  individualize-and-refine search below.
+* n <= 7: a pruned product.  Image row n-1, the most significant, is
+  the source row of the index a sent to n-1, with its diagonal bit on
+  top and its w off-diagonal ones packed low at best.  So the minimum
+  sends to n-1 an index whose row minimizes (diagonal bit, w) among the
+  rows of the key and, under ``sym-ti``, of its transpose-inverse, and
+  sends that row's off-diagonal ones to 0..w-1.  These are the first
+  two cuts of the individualize-and-refine search below: a is fixed,
+  and the other indices split into two cells by row a.  Each such
+  (source, a) pair is relabelled to that form (a to n-1, row a's ones
+  to 0..w-1, the rest to w..n-2) by one gather through a per-order
+  table of source bits, indexed by the row | a << n value that the
+  score reads (under the full table, which keeps no split, by a << n
+  alone).  Its images under the w!(n-1-w)! permutations that fix
+  n-1 and keep the two cells are then an exact float64 matrix product
+  of the bit vector with that w's table of per-permutation bit weights
+  (packed values below 2^49 fit a double exactly): 24/12/12/24 images
+  for w = 1..4 at n=6 instead of 120, 120/48/36/48/120 at n=7 instead
+  of 720; w = 0 and w = n-1 split nothing and keep the full table.
+  The score is w + n * diagonal bit, so all pairs of a key share one w.
+  A w takes its own table only where its keys save enough multiply-adds
+  to pay for the extra numpy calls (``_W_TABLE_MADDS``); the keys are
+  then ordered by table, so that each table images one contiguous run
+  of pairs.  All other keys, and every small batch, take the full
+  table in one product.  BFS successors have 1.2 to 2.9 pairs per key,
+  so most of the n! images per key are never formed.  Each chunk's
+  (table rows x pairs) image planes are written once and read twice
+  (for the minimum and for the stabilizer count).  Chunks are sized
+  for two pairs per key under the full table, so that the plane and
+  the unpacked bits, 2 MiB, stay in a core's L2 cache (840 keys at
+  n=6, 170 at n=7) and their memory is reused by the next chunk, as in
+  the cache blocking of Goto and van de Geijn, "Anatomy of
+  high-performance matrix multiplication" (2008); pairs under a smaller
+  table shrink it.  Keys with many tied indices bring up to n pairs
+  each (2n under ``sym-ti``): fixed-point-free permutation matrices
+  have w = 1 and a small table, but keys whose rows all hold their
+  diagonal bit and several are unit rows, near the identity, have
+  w = 0, so their chunks still outgrow the plan.  A single key picks
+  its pairs on Python ints, where numpy's fixed cost per call would
+  dominate, and images them under its own w's table.
 * n = 8: a lex-leader search (``_min_stab_search``) that builds the
   minimum image row by row, most significant row first, over partial
   arrangements whose candidate cells are refined by the rows already
@@ -97,7 +113,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import numpy as np
 
@@ -157,47 +173,78 @@ def act(sigma: Permutation, xi: int, m: BitMatrix) -> BitMatrix:
 
 
 # bytes of a chunk's float64 working set at two candidate pairs per key,
-# each with its (n-1)! images and n^2 unpacked bits: it fits a 2 MiB
-# per-core L2 cache (see the module docstring)
+# each with the (n-1)! images of the full table and n^2 unpacked bits:
+# it fits a 2 MiB per-core L2 cache (see the module docstring).  Pairs
+# under their w's own table hold fewer images, so most chunks stay well
+# below it: under tracemalloc the chunks of GL(6,2) to depth 7 peak at
+# 0.45 MiB in the median (0.54 under sym-ti), and the heaviest, whose
+# keys all have w = 0 and 2.7 pairs each (4 under sym-ti), at 2.8 MiB
+# (4.2 under sym-ti)
 _PLANE_BYTES = 1 << 21
+# multiply-adds of the product that a w's keys must save, at one pair
+# each, for that w to take its own table.  An own table costs 12-15 us
+# per chunk in numpy calls.  On chunks of successors of one w (of
+# depth-8 keys of GL(5,2) and GL(6,2) and depth-6 keys of GL(7,2)) the
+# two break even near 48-64 keys at n=6 (170-250k multiply-adds), below
+# 2 keys at n=7 (60k) and near 1,000-2,000 keys at n=5 (0.5-1M), where
+# the full table has only 24 rows.  So n=6 takes an own table from
+# 68-76 keys, n=7 from 8-9 and n=5 from 525-583; synthesize's 30
+# successors never do
+_W_TABLE_MADDS = 1 << 18
 
 
 class _PermTables:
     """Per-order tables for n <= 7.
 
-    ``score[r | i << n]`` ranks row value r at index i by (diagonal bit,
-    off-diagonal weight), as popcount + (n-1) * diagonal bit;
-    ``score_list`` holds the same for the scalar path.  ``swap[i]``
-    holds, for every entry of a matrix whose indices i and n-1 are
-    swapped, the source bit it reads, as a mask.  ``wf`` holds the bit
-    weight every unpacked matrix entry contributes to the image under
-    each of the (n-1)! permutations that fix n-1, one permutation per
-    row.
+    ``score[r | a << n]`` ranks row value r at index a by (diagonal bit,
+    off-diagonal weight w), as popcount + (n-1) * diagonal bit, which is
+    w + n * diagonal bit; ``score_list`` holds the same for the scalar
+    path.  ``relabel[r | a << n]`` holds, for every entry of a matrix
+    whose row a is r, relabelled so that a goes to n-1, the ones of r
+    but a to 0..w-1 in order and the other indices to w..n-2, the source
+    bit that entry reads, as a mask.  ``wf[w]`` holds the bit weight
+    every unpacked matrix entry contributes to the image under each of
+    the w!(n-1-w)! permutations that fix n-1 and map 0..w-1 onto
+    themselves, one permutation per row: the cell split of a top row of
+    weight w.  ``wf[0]`` and ``wf[n-1]`` are one table, all (n-1)!
+    permutations that fix n-1.  ``saving[w]`` counts the multiply-adds
+    of the product that a pair saves by taking ``wf[w]`` instead of the
+    full table.  ``chunk`` is the keys per chunk (see ``_PLANE_BYTES``).
     """
 
     def __init__(self, n: int):
         self.n = n
+        nb = np.uint64(n)
         idx = np.arange(n, dtype=np.uint64)
-        self.row_shift = idx * np.uint64(n)
+        self.row_shift = idx * nb
         self.row_mask = np.uint64((1 << n) - 1)
-        self.row_index = idx << np.uint64(n)
+        self.row_index = idx << nb
         r = np.arange(1 << n)
-        self.score = (np.bitwise_count(r) + (n - 1) * ((r >> np.arange(n)[:, None]) & 1)
-                      ).astype(np.uint8).ravel()
+        on = (r >> np.arange(n)[:, None]) & 1
+        self.score = (np.bitwise_count(r) + (n - 1) * on).astype(np.uint8).ravel()
         self.score_list = self.score.tolist()
-        self.swap = np.empty((n, n * n), dtype=np.uint64)
-        for i in range(n):
-            s = idx.copy()
-            s[[i, n - 1]] = s[[n - 1, i]]
-            self.swap[i] = _U1 << (s[:, None] * np.uint64(n) + s[None, :]).ravel()
-        perms = [p + (n - 1,) for p in permutations(range(n - 1))]
-        packw = np.empty((len(perms), n * n), dtype=np.uint64)
-        for k, p in enumerate(perms):
-            pv = np.array(p, dtype=np.uint64)
-            packw[k] = _U1 << (pv[:, None] * np.uint64(n) + pv[None, :]).ravel()
+        # per (a, r), each index's cell: 0 for the ones of r but a, 1 for
+        # the other indices but a, 2 for a; a stable sort of the cells
+        # lists, per new label, the index it takes
+        own = np.arange(n)[:, None, None] == np.arange(n)
+        cell = np.where(own, 2, 1 - on.T).reshape(-1, n)
+        src = np.argsort(cell, axis=1, kind="stable").astype(np.uint64)
+        self.relabel = _U1 << (src[:, :, None] * nb + src[:, None, :]).reshape(-1, n * n)
         # every packed value < 2^(n*n) <= 2^49 is exactly representable
-        self.wf = packw.astype(np.float64)
-        self.chunk = _PLANE_BYTES // (16 * (len(perms) + n * n))
+        # w = 0 and w = n-1 split nothing: both take the full table
+        cuts = [w if 0 < w < n - 1 else 0 for w in range(n)]
+        tables = {}
+        for w in dict.fromkeys(cuts):
+            perms = [a + b + (n - 1,) for a in permutations(range(w))
+                     for b in permutations(range(w, n - 1))]
+            pv = np.array(perms, dtype=np.uint64)
+            tables[w] = (_U1 << (pv[:, :, None] * nb + pv[:, None, :])
+                         ).reshape(len(perms), n * n).astype(np.float64)
+        self.wf = [tables[w] for w in cuts]
+        full = self.wf[0].shape[0]
+        self.saving = [(full - f.shape[0]) * n * n for f in self.wf]
+        self.saving_max = max(self.saving)
+        self.chunk = _PLANE_BYTES // (16 * (full + n * n))
 
 
 @lru_cache(maxsize=None)
@@ -269,50 +316,109 @@ def transpose_inverse_keys(keys: np.ndarray, n: int) -> np.ndarray:
     return np.bitwise_or.reduce((aug >> nb) << (idx * nb)[:, None], axis=0)
 
 
-def _images(x: np.ndarray, i: np.ndarray, t: _PermTables) -> np.ndarray:
-    """((n-1)!, pairs) float64: each packed x[p], with its indices i[p]
-    and n-1 swapped, imaged under the (n-1)! permutations that fix n-1.
-    One pair per column, so that the reductions over a pair's images
-    run down the columns."""
-    bits = (x[:, None] & t.swap[i]) != 0
-    return t.wf @ bits.astype(np.float64).T
+def _unpack(x: np.ndarray, r: np.ndarray, t: _PermTables) -> np.ndarray:
+    """(pairs, n^2) float64: the bits of each packed x[p], relabelled by
+    ``t.relabel[r[p]]``, where r[p] is the row | index << n value that
+    the score reads.  The masks' memory takes the bits, so that a chunk
+    allocates one such plane, and a bool one an eighth its size."""
+    bits = t.relabel.take(r, axis=0)
+    bits &= x[:, None]
+    out = bits.view(np.float64)
+    out[...] = bits != 0
+    return out
 
 
 def _min_stab_matmul(srcs: np.ndarray, t: _PermTables):
     """Canonical key and stabilizer order of each row of a source block,
     from the images that can be minimal, as exact float64 products.
 
-    Image row n-1, the most significant, is source row i for the index
-    i sent to n-1: its diagonal bit on top, its off-diagonal ones packed
-    low at best.  So a minimal image sends to n-1 an index whose row
-    minimizes (diagonal bit, off-diagonal weight), over the key's
-    sources.  Each such (source, i) pair is swapped to put i at n-1 and
-    imaged under the (n-1)! permutations that fix n-1.  Every group
-    element that maps the key to its canonical image lies among
+    Image row n-1, the most significant, is source row a for the index
+    a sent to n-1: its diagonal bit on top, its w off-diagonal ones
+    packed low at best.  So a minimal image sends to n-1 an index whose
+    row minimizes (diagonal bit, w), over the key's sources, and sends
+    that row's off-diagonal ones to 0..w-1.  Each such (source, a) pair
+    is relabelled to that form and imaged under the permutations that
+    keep it: those that fix n-1 and map 0..w-1 onto themselves.  Every
+    group element that maps the key to its canonical image lies among
     these pairs' images, so counting the images equal to the minimum
     gives the stabilizer order.
+
+    The score is w + n * diagonal bit, so all pairs of a key share one
+    w.  A w takes its own table only where its keys, at one pair each,
+    save at least ``_W_TABLE_MADDS`` multiply-adds by it; the other
+    pairs take the full table, which holds every image of the smaller
+    ones.  Where some w takes its own table, the keys are ordered by
+    the table they take, so that each table images one contiguous run
+    of pairs.
     """
-    score = t.score[((srcs[:, :, None] >> t.row_shift) & t.row_mask) | t.row_index]
-    group, v, i = np.nonzero(score == score.min(axis=(1, 2))[:, None, None])
-    images = _images(srcs[group, v], i, t)
+    b, n = srcs.shape[0], t.n
+    # each row | index << n value, below 2^10, as an index
+    r = (((srcs[:, :, None] >> t.row_shift) & t.row_mask) | t.row_index).view(np.intp)
+    score = t.score[r]
+    best = score.min(axis=(1, 2))
+    tie = score == best[:, None, None]
+    del score
+    order = None
+    if b * t.saving_max >= _W_TABLE_MADDS:
+        # keys per score, and so per w = score % n
+        keys = np.bincount(best, minlength=2 * n).tolist()
+        keys = [keys[w] + keys[w + n] for w in range(n)]
+        own = [w for w in range(1, n - 1) if keys[w] * t.saving[w] >= _W_TABLE_MADDS]
+        if own:
+            # the keys by the table they take, the full one first
+            table = np.array([w * (w in own) for w in range(n)] * 2, dtype=np.uint8)
+            order = np.argsort(table[best], kind="stable")
+            tie = tie[order]
+    group, v, a = np.nonzero(tie)
+    del tie
     # every key has a pair, so its pairs start where the group changes
-    starts = np.searchsorted(group, np.arange(srcs.shape[0]))
-    canon = np.minimum.reduceat(images.min(axis=0), starts)
+    starts = np.searchsorted(group, np.arange(b))
+    if order is None:
+        # the full table holds every arrangement of the indices below
+        # n-1, so any relabel that sends a to n-1 will do: that of row 0
+        images = t.wf[0] @ _unpack(srcs[group, v], a << n, t).T
+        canon = np.minimum.reduceat(images.min(axis=0), starts)
+        # a pair has at most (n-1)! <= 720 equal images
+        count = (images == canon[group]).view(np.uint8).sum(axis=0, dtype=np.uint16)
+        return (canon.astype(np.int64).view(np.uint64),
+                np.add.reduceat(count, starts, dtype=np.uint64))
+    at = order[group]
+    bits = _unpack(srcs[at, v], r[at, v, a], t)
+    del r, at, v, a
+    # each table and its run of pairs: the full table's first, then the
+    # own tables in order of w
+    runs = [(w, c) for w, c in [(0, b - sum(keys[w] for w in own)),
+                                *((w, keys[w]) for w in own)] if c]
+    bounds = [0, *starts[list(accumulate(c for _, c in runs))[:-1]].tolist(), group.size]
+    planes = []
+    mins = np.empty(group.size)
+    for (w, _), lo, hi in zip(runs, bounds, bounds[1:]):
+        planes.append(t.wf[w] @ bits[lo:hi].T)
+        planes[-1].min(axis=0, out=mins[lo:hi])
+    del bits
+    canon = np.minimum.reduceat(mins, starts)
     # a pair has at most (n-1)! <= 720 equal images
-    count = (images == canon[group]).view(np.uint8).sum(axis=0, dtype=np.uint16)
-    stab = np.add.reduceat(count, starts, dtype=np.uint64)
-    return canon.astype(np.int64).view(np.uint64), stab
+    count = np.empty(group.size, dtype=np.uint16)
+    at = canon[group]
+    for images, lo, hi in zip(planes, bounds, bounds[1:]):
+        (images == at[lo:hi]).view(np.uint8).sum(axis=0, dtype=np.uint16, out=count[lo:hi])
+    del planes, at
+    out = np.empty(b, dtype=np.uint64), np.empty(b, dtype=np.uint64)
+    out[0][order] = canon.astype(np.int64).view(np.uint64)
+    out[1][order] = np.add.reduceat(count, starts, dtype=np.uint64)
+    return out
 
 
 def _min_stab_one(sources: list[int], t: _PermTables) -> tuple[int, int]:
     """``_min_stab_matmul`` for the sources of one key, on Python ints
-    where it can: numpy's fixed cost per call would outweigh the work."""
-    n = t.n
-    scored = [(t.score_list[((src >> (i * n)) & ((1 << n) - 1)) | (i << n)], src, i)
-              for src in sources for i in range(n)]
-    best = min(sc for sc, _, _ in scored)
-    x, i = zip(*[(src, i) for sc, src, i in scored if sc == best])
-    images = _images(np.array(x, dtype=np.uint64), np.array(i), t)
+    where it can: numpy's fixed cost per call would outweigh the work.
+    The key's pairs take the table of its own w."""
+    n, score = t.n, t.score_list
+    rows = [(((src >> (a * n)) & ((1 << n) - 1)) | (a << n), src)
+            for src in sources for a in range(n)]
+    best = min(score[r] for r, _ in rows)
+    r, x = zip(*[p for p in rows if score[p[0]] == best])
+    images = t.wf[best % n] @ _unpack(np.array(x, dtype=np.uint64), r, t).T
     canon = images.min()
     return int(canon), int(np.count_nonzero(images == canon))
 

@@ -630,6 +630,117 @@ def test_ti_case_takes_its_top_row_from_ti(n):
 
 
 # ---------------------------------------------------------------------------
+# the cell split of the top row
+# ---------------------------------------------------------------------------
+
+
+def top_row_weight(bits, n, spec):
+    """The off-diagonal weight w of a minimal image's top row: that of
+    the least row over the key and, under sym-ti, its TI."""
+    sources = [bits] + ([gf2.transpose_inverse_bits(bits, n)] if spec.uses_ti else [])
+    return min(best_top_rows(src, n)[0] for src in sources)[1]
+
+
+def split_keys(n, spec, count, seed):
+    """Packed keys whose minimal images have each top-row weight w =
+    0..n-1 under a spec, conjugated by random permutations, and
+    permutation matrices.  Every row but row 0 holds its diagonal bit.
+    For w = 0 the rows are unit upper triangular, so the last is a unit
+    row; for w >= 1 row 0 holds ones at 1..w and no diagonal bit, and
+    w = n-1 is a row of all off-diagonal ones.  The other rows are
+    drawn at random until the matrix is invertible and, under sym-ti,
+    its TI has no row below w (one draw in 2,000 at n=7 for w = 5, 6)."""
+    rng = random.Random(seed)
+    keys = []
+    for w in range(n):
+        found = 0
+        while found < count:
+            rows = [[int((w or j > i) and rng.random() < 0.5) for j in range(n)]
+                    for i in range(n)]
+            for i in range(n):
+                rows[i][i] = 1
+            if w:
+                rows[0] = [int(1 <= j <= w) for j in range(n)]
+            m = BitMatrix(n, sum(1 << (i * n + j) for i in range(n) for j in range(n)
+                                 if rows[i][j]))
+            if m.is_invertible() and top_row_weight(m.bits, n, spec) == w:
+                keys.append(gf2.conjugate_by_perm(random_perm(n, rng), m).bits)
+                found += 1
+    keys += [perm_matrix(random_perm(n, rng)).bits for _ in range(count)]
+    return np.array(keys, dtype=np.uint64)
+
+
+class RecordingTables(list):
+    """A list of tables that records which are read."""
+
+    def __init__(self, tables):
+        super().__init__(tables)
+        self.read = set()
+
+    def __getitem__(self, w):
+        self.read.add(int(w))
+        return super().__getitem__(w)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_split_matches_oracles_on_every_top_row_weight(monkeypatch, full_matmul, n):
+    # every w, with its own table (a constant of 1) and in the full table
+    # (a constant no batch reaches), against the full product
+    t = _tables(n)
+    wf = RecordingTables(t.wf)
+    monkeypatch.setattr(t, "wf", wf)
+    for spec in (SYM, SYM_TI):
+        keys = split_keys(n, spec, 12, 200 + n)
+        weights = [top_row_weight(int(k), n, spec) for k in keys]
+        assert set(weights) == set(range(n))
+        srcs = _sources(keys, n, spec)
+        ref = full_matmul(keys, srcs[:, 1] if spec.uses_ti else None, n)
+        for madds, read in ((1, set(range(n - 1))), (10**18, {0})):
+            monkeypatch.setattr(isometry, "_W_TABLE_MADDS", madds)
+            wf.read.clear()
+            canon, stab = _min_stab_matmul(srcs, t)
+            assert wf.read == read
+            assert np.array_equal(canon, ref[0]) and np.array_equal(stab, ref[1])
+        # the scalar path takes each key's own table, against the plain
+        # enumeration (on one key per w at n=7, where it is slow)
+        for w in range(n):
+            at = [k for k, kw in enumerate(weights) if kw == w][:3 if n < 7 else 1]
+            for k in at:
+                m = BitMatrix(n, int(keys[k]))
+                assert canonicalize(m, spec) == canonicalize_reference(m, spec)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_split_tables(n):
+    t = _tables(n)
+    nb = n + 1
+    for w in range(n):
+        table = t.wf[w].astype(np.uint64)
+        cut = w if 0 < w < n - 1 else 0
+        assert table.shape == (math.factorial(cut) * math.factorial(n - 1 - cut), n * n)
+        # each row's diagonal weights name its permutation p, and every
+        # entry (i, j) weighs 2^(p(i)*n + p(j))
+        perms = set()
+        for row in table.tolist():
+            p = [row[i * nb].bit_length() // nb for i in range(n)]
+            assert sorted(p) == list(range(n)) and p[n - 1] == n - 1
+            assert set(p[:cut]) == set(range(cut))
+            assert row == [1 << (p[i] * n + p[j]) for i in range(n) for j in range(n)]
+            perms.add(tuple(p))
+        assert len(perms) == table.shape[0]
+    for a in range(n):
+        for r in range(1 << n):
+            masks = t.relabel[r | a << n].tolist()
+            # entry (i, j) of the relabelled matrix reads source entry
+            # (s(i), s(j)), s listing per new label the index it takes
+            s = [masks[i * nb].bit_length() // nb for i in range(n)]
+            ones = {j for j in range(n) if j != a and r >> j & 1}
+            assert s[n - 1] == a and sorted(s) == list(range(n))
+            assert set(s[:len(ones)]) == ones
+            assert masks == [1 << (s[i] * n + s[j]) for i in range(n) for j in range(n)]
+
+
+# ---------------------------------------------------------------------------
 # the lex-leader search that serves order 8
 # ---------------------------------------------------------------------------
 

@@ -351,6 +351,40 @@ def test_lookup_checks_file_length(explored, tmp_path):
             store.lookup(bad, identity(3))
 
 
+def test_lookup_revalidates_a_rewritten_file(explored, tmp_path, monkeypatch):
+    # a lookup compares the file size and the header and sphere-table
+    # bytes with those it last validated at the path, and parses them
+    # again only when they differ
+    path = tmp_path / "g3.db"
+    store.save(explored(3), path)
+    blob = bytearray(path.read_bytes())
+    parsed = []
+    real = store._read_layout
+    monkeypatch.setattr(store, "_read_layout", lambda fh: parsed.append(1) or real(fh))
+    assert [store.lookup(path, identity(3)) for _ in range(3)] == [0, 0, 0]
+    assert len(parsed) == 1
+    # the same path and the same size, with a corrupt element count: the
+    # first level's head is 10 bytes after the 26-byte header, and its
+    # count of one element is the digit "1"
+    assert blob[36:37] == b"1"
+    blob[36:37] = b"x"
+    path.write_bytes(blob)
+    assert path.stat().st_size == len(blob)
+    with pytest.raises(DatabaseError, match="corrupt sphere element count"):
+        store.lookup(path, identity(3))
+    # restored, it is again the file last validated there
+    blob[36:37] = b"1"
+    path.write_bytes(blob)
+    assert store.lookup(path, identity(3)) == 0
+    assert len(parsed) == 2
+    # cut after a good lookup: the header and the sphere table are
+    # intact, and only the file length tells
+    path.write_bytes(blob[:-9])
+    with pytest.raises(DatabaseError, match="entry block"):
+        store.lookup(path, identity(3))
+    assert len(parsed) == 3
+
+
 def test_lookup_order_mismatch(explored, tmp_path):
     path = tmp_path / "g3.db"
     store.save(explored(3), path)
