@@ -51,6 +51,16 @@ Worker threads run the kernel's tiles, each writing its own slice of
 the output; a block's canonical keys are then deduplicated by value, so
 distances, sphere sizes and stored keys are identical for every thread
 count.
+
+``synthesize`` descends from a matrix to the identity one generator at
+a time.  The last four steps need no canonicalization and no result:
+the elements within distance 2 of I (I, the transvections and their
+products) are listed outright, and a successor of an element at
+distance d <= 4 is one closer exactly when it, or for d = 4 one of its
+own successors, lies in that list at the right distance.  This is the
+meet-in-the-middle idea (Amy, Maslov, Mosca and Roetteler, "A
+meet-in-the-middle algorithm for fast synthesis of depth-optimal
+quantum circuits", 2013) applied to the end of a greedy descent.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ import resource
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -136,12 +147,18 @@ class ExplorationResult:
     def distances(self, keys) -> np.ndarray:
         """int16 distance of each canonical key, -1 where it is not
         stored, by one search for the whole array."""
-        idx = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
-        # an int16 -1, since a plain -1 would keep the uint8 of dists
-        return np.where(self.keys[idx] == keys, self.dists[idx], np.int16(-1))
+        return _look_up(self.keys, self.dists, keys)
 
     def total_elements(self) -> int:
         return sum(self.sphere_sizes)
+
+
+def _look_up(table: np.ndarray, dists: np.ndarray, keys) -> np.ndarray:
+    """int16 distance of each of ``keys`` in the sorted ``table`` with
+    aligned ``dists``, -1 where it is absent."""
+    idx = np.minimum(np.searchsorted(table, keys), table.size - 1)
+    # an int16 -1, since a plain -1 would keep the uint8 of dists
+    return np.where(table[idx] == keys, dists[idx], np.int16(-1))
 
 
 def _peak_rss_mb() -> float:
@@ -350,28 +367,64 @@ def distance_of(res: ExplorationResult, m: BitMatrix) -> int:
     return d
 
 
+@lru_cache(maxsize=None)
+def _radius_two(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every element of GL(n,2) within distance 2 of I, raw packed keys
+    sorted ascending, and the int16 distance of each: I, the n(n-1)
+    transvections and their products (1,961 elements at n=8).  Read-only,
+    since they are shared."""
+    ident = np.array([[gf2.identity(n).bits]], dtype=np.uint64)
+    one = _successors(ident, n)
+    two = _successors(one, n)
+    words = np.concatenate([ident, one, two]).ravel()
+    lengths = np.repeat(np.arange(3, dtype=np.int16), [1, one.shape[0], two.shape[0]])
+    # words come shortest first, so the first of each value is its distance
+    keys, first = np.unique(words, return_index=True)
+    dists = lengths[first]
+    keys.flags.writeable = dists.flags.writeable = False
+    return keys, dists
+
+
 def synthesize(res: ExplorationResult, m: BitMatrix) -> Circuit:
     """A circuit of exactly distance_of(m) gates evaluating to m.
 
     Greedy descent: scan generators in (i, j) lexicographic order and
     take the first one that moves one level closer to the identity.
+    From a key at distance d every successor lies at distance d-1 or
+    more, so a successor is closer exactly when it lies within d-1 of
+    I.  The last four steps read that from the elements within distance
+    2 of I, listed outright (``_radius_two``) and searched raw, without
+    canonicalization: from d <= 3 the successor's own distance, and from
+    d = 4 whether one of the successor's successors lies at distance 2.
+    Only steps from d >= 5 canonicalize the successors and read their
+    distances from ``res``.  Either way the same generator is taken.
     """
     d = distance_of(res, m)
-    trans = gf2.all_transvections(res.n)
+    n = res.n
+    near, near_dists = _radius_two(n)
+    trans = gf2.all_transvections(n)
     found: list[Transvection] = []
-    x = m
+    x = np.array([m.bits], dtype=np.uint64)
     while d > 0:
         # the successors of one key come in the generators' order
-        canon, _ = canonicalize_successors(np.array([x.bits], dtype=np.uint64), res.n, res.spec)
-        closer = np.flatnonzero(res.distances(canon) == d - 1)
-        if closer.size == 0:
+        succ = _successors(x[:, None], n).ravel()
+        if d > 4:
+            canon, _ = canonicalize_successors(x, n, res.spec)
+            closer = res.distances(canon) == d - 1
+        elif d == 4:
+            grand = _successors(succ[:, None], n).reshape(succ.size, succ.size)
+            closer = (_look_up(near, near_dists, grand) == 2).any(axis=1)
+        else:
+            closer = _look_up(near, near_dists, succ) == d - 1
+        hit = np.flatnonzero(closer)
+        if hit.size == 0:
             raise ConsistencyError("no descending neighbor found")
-        found.append(trans[closer[0]])
-        x = gf2.apply_transvection(found[-1], x)
+        found.append(trans[hit[0]])
+        x = succ[hit[:1]]
         d -= 1
     # found = [t1, ..., td] with m = t1 * t2 * ... * td; gates apply
     # left-multiplicatively in list order, so emit in reverse
-    return Circuit(res.n, tuple(reversed(found)))
+    return Circuit(n, tuple(reversed(found)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Shared fixtures: cached explorations and two independent oracles.
+"""Shared fixtures: cached explorations and three independent oracles.
 
 Explorations are expensive enough to share across modules.  The
 distance oracle is a deliberately naive dict-based BFS over the full
 group, kept free of the package's vectorised machinery so it can vouch
 for it.  The canonicalization oracle images every key under all n!
-permutations at once, with none of the fast kernel's pruning.
+permutations at once, with none of the fast kernel's pruning.  The
+synthesis oracle descends by canonicalizing every step's successors and
+reading their distances from the result.
 """
 
 import dataclasses
@@ -16,8 +18,9 @@ import numpy as np
 import pytest
 
 from cnotcayley import gf2
-from cnotcayley.bfs import SearchLimits, isometry_bfs
-from cnotcayley.isometry import IsometrySpec
+from cnotcayley.bfs import SearchLimits, distance_of, isometry_bfs
+from cnotcayley.errors import ConsistencyError
+from cnotcayley.isometry import IsometrySpec, canonicalize_successors
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +73,26 @@ def oracle_distances(n):
     return dist
 
 
+def synthesize_reference(res, m):
+    """Greedy descent that canonicalizes the successors of every step:
+    scan generators in (i, j) lex order and take the first whose
+    successor's stored distance is one less."""
+    d = distance_of(res, m)
+    trans = gf2.all_transvections(res.n)
+    found = []
+    x = m
+    while d > 0:
+        canon, _ = canonicalize_successors(np.array([x.bits], dtype=np.uint64),
+                                           res.n, res.spec)
+        closer = np.flatnonzero(res.distances(canon) == d - 1)
+        if closer.size == 0:
+            raise ConsistencyError("no descending neighbor found")
+        found.append(trans[closer[0]])
+        x = gf2.apply_transvection(found[-1], x)
+        d -= 1
+    return gf2.Circuit(res.n, tuple(reversed(found)))
+
+
 @pytest.fixture(scope="session")
 def oracle_dist():
     cache = {}
@@ -118,3 +141,8 @@ def full_matmul_min_stab(keys, ti, n):
 @pytest.fixture(scope="session")
 def full_matmul():
     return full_matmul_min_stab
+
+
+@pytest.fixture(scope="session")
+def synth_reference():
+    return synthesize_reference

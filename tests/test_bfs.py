@@ -1,6 +1,7 @@
 """The reduced exploration against published tables and a naive oracle,
 plus synthesis, bidirectional probing, limits and determinism."""
 
+import dataclasses
 import itertools
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,8 @@ from cnotcayley.bfs import (
     synthesize,
 )
 from cnotcayley.bounds import gl_order
-from cnotcayley.errors import HorizonError, OrderError
+from cnotcayley.errors import ConsistencyError, HorizonError, OrderError
+from cnotcayley.essential import eval_poly, load_coeffs
 from cnotcayley.gf2 import identity, invert, parse_matrix, parse_perm, perm_matrix, random_invertible
 from cnotcayley.isometry import (
     IsometrySpec,
@@ -569,6 +571,96 @@ def test_synthesize_deterministic(explored):
         assert synthesize(res, m) == synthesize(res, m)
 
 
+def assert_synthesis_matches_reference(res, matrices, synth_reference):
+    """synthesize gives the reference descent's circuit, or raises the
+    same exception, on every matrix; returns the outcomes."""
+    outcomes = []
+    for m in matrices:
+        try:
+            want = synth_reference(res, m)
+        except (HorizonError, ConsistencyError) as exc:
+            with pytest.raises(type(exc)):
+                synthesize(res, m)
+            outcomes.append(type(exc))
+            continue
+        assert synthesize(res, m) == want
+        outcomes.append(len(want))
+    return outcomes
+
+
+@pytest.mark.parametrize("spec", ["sym", "sym-ti"])
+def test_synthesize_matches_reference_on_gl3(explored, oracle_dist, synth_reference, spec):
+    res = explored(3, IsometrySpec(spec))
+    every = [gf2.BitMatrix(3, bits) for bits in oracle_dist(3)]
+    assert sorted(assert_synthesis_matches_reference(res, every, synth_reference)) == \
+        sorted(oracle_dist(3).values())
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("spec", ["sym", "sym-ti"])
+def test_synthesize_matches_reference_random(explored, synth_reference, n, spec):
+    res = explored(n, IsometrySpec(spec))
+    rng = random.Random(20 + n)
+    matrices = [random_invertible(n, rng) for _ in range(1000)]
+    lengths = assert_synthesis_matches_reference(res, matrices, synth_reference)
+    # most random elements lie beyond distance 4, so both kinds of step run
+    assert min(lengths) <= 4 < max(lengths)
+
+
+@pytest.mark.parametrize("n, depth", [(7, 6), (8, 5)])
+@pytest.mark.parametrize("spec", ["sym", "sym-ti"])
+def test_synthesize_matches_reference_past_the_horizon(explored, synth_reference,
+                                                      n, depth, spec):
+    res = explored(n, IsometrySpec(spec), depth)
+    rng = random.Random(n)
+    trans = gf2.all_transvections(n)
+    words = []
+    for length in range(depth + 3):
+        for _ in range(12):
+            m = identity(n)
+            for _ in range(length):
+                m = gf2.apply_transvection(rng.choice(trans), m)
+            words.append(m)
+    outcomes = assert_synthesis_matches_reference(res, words, synth_reference)
+    assert HorizonError in outcomes
+    assert set(range(depth + 1)) <= set(outcomes)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_radius_two_matches_published_spheres(n):
+    keys, dists = bfs._radius_two(n)
+    assert np.all(keys[1:] > keys[:-1])
+    f2 = eval_poly(load_coeffs()[2], n)
+    assert np.bincount(dists).tolist() == [1, n * (n - 1), f2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_radius_two_matches_oracle(oracle_dist, n):
+    keys, dists = bfs._radius_two(n)
+    near = {bits: d for bits, d in oracle_dist(n).items() if d <= 2}
+    assert dict(zip(keys.tolist(), dists.tolist())) == near
+
+
+def test_synthesize_refuses_a_lowered_distance(explored):
+    # an orbit stored 2 below its distance: the first step finds no
+    # neighbour one closer, through the radius-2 table (stored 2 and 4)
+    # and through a canonicalized step (stored 5), so no circuit of the
+    # stored length comes out
+    res = explored(5)
+    for true in (4, 6, 7):
+        idx = int(np.flatnonzero(res.dists == true)[0])
+        dists = res.dists.copy()
+        dists[idx] -= 2
+        bad = dataclasses.replace(res, dists=dists)
+        key = gf2.BitMatrix(5, int(res.keys[idx]))
+        members = [key] + [gf2.conjugate_by_perm(gf2.parse_perm(c, 5), key)
+                           for c in ("(1 2)", "(1 5 3)", "(2 4)(3 5)")]
+        for m in members:
+            assert distance_of(bad, m) == true - 2
+            with pytest.raises(ConsistencyError, match="no descending neighbor"):
+                synthesize(bad, m)
+
+
 # ---------------------------------------------------------------------------
 # bidirectional probe
 # ---------------------------------------------------------------------------
@@ -648,3 +740,4 @@ def test_bidir_certified_lower_bound(explored):
     assert not out.exact
     assert out.value == 5
     assert out.value <= distance_of(res, deep)
+
