@@ -64,7 +64,7 @@ from .gf2 import (
     transpose,
     transpose_inverse,
 )
-from .isometry import IsometrySpec, OrbitInfo, act, canonicalize, successor_orbits
+from .isometry import IsometrySpec, OrbitInfo, act, canonicalize
 from .permcheck import (
     CycleType,
     cycle_type_reps,

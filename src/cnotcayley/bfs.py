@@ -14,33 +14,35 @@ only stay within a level or connect adjacent levels, so checking three
 levels suffices and memory stays proportional to the number of stored
 orbits.
 
-A level is expanded in blocks of at most ``_BLOCK`` successors.  A
-block skips three kinds of raw successor before the kernel.  First, a
-successor T[i,j]*g whose generator a twin symmetry of its frontier key
-g maps onto an earlier one.  Two indices are twins of g when their
-transposition fixes g, so a permutation s of g's twin classes fixes g
-and maps T[i,j]*g to T[s(i),s(j)]*g, a successor of the same key in the
-same orbit.  Only the lowest generator of each such orbit is
-expanded, the isomorph rejection of orderly generation (McKay,
-"Isomorph-free exhaustive generation", 1998); near the identity, where
-the untouched indices are all twins, that drops most successors (7,091
-of 13,048 into level 5 of GL(8,2)).  The others are overwritten in
-place with their frontier key, which the next test drops.  The block
-then sorts its raw successors and skips a repeat of another successor
-of the block, which lies in the same orbit, and a successor equal to a
-key stored in one of the three levels, which is canonical and so names
-a known orbit.  Only the rest go to
-``isometry.canonicalize_successors``, which builds and canonicalizes
-them at their positions in the layout and, under ``sym-ti``, derives
-their TIs from the frontier keys' TIs.  Each skipped successor lies in
-the orbit of a successor of the same block that is canonicalized or
-known, so the levels, element counts and budget stops are those of
-canonicalizing every successor; about a third of the successors of
-GL(6,2) to depth 8 never reach the kernel.  Beyond the stored keys, a
-level's expansion holds one block's raw successors, the positions it
-keeps, their canonical keys and the dedup temporaries (a few MiB,
-whatever the size of the level) and, while a block is merged in, a
-second copy of the next level.
+A level is expanded in blocks of at most ``_BLOCK`` successors, which
+``_fresh`` deduplicates on both sides of the kernel: it keeps one
+occurrence of each value that none of the previous, current and
+accruing next level holds.  First, a block drops a successor T[i,j]*g
+whose generator a twin symmetry of its frontier key g maps onto an
+earlier one.  Two indices are twins of g when their transposition fixes
+g, so a permutation s of g's twin classes fixes g and maps T[i,j]*g to
+T[s(i),s(j)]*g, a successor of the same key in the same orbit.  Only
+the lowest generator of each such orbit is expanded, the isomorph
+rejection of orderly generation (McKay, "Isomorph-free exhaustive
+generation", 1998); near the identity, where the untouched indices are
+all twins, that drops most successors (7,091 of 13,048 into level 5 of
+GL(8,2)).  The others are overwritten in place with their frontier key,
+which is stored.  ``_fresh`` on the raw successors then drops a repeat,
+which lies in the orbit of the successor it repeats, and a successor
+equal to a stored key, which is canonical and so names a known orbit.
+Only the rest go to ``isometry.canonicalize_successors``, which builds
+and canonicalizes them at their positions in the layout and, under
+``sym-ti``, derives their TIs from the frontier keys' TIs.  ``_fresh``
+on their canonical keys then leaves the keys new to the level, in
+ascending order, and a stable sort merges them into it.  Any occurrence
+will do on either side: equal successors and equal canonical keys lie
+in one orbit and share its size.  So the levels, element counts and
+budget stops are those of canonicalizing every successor; about a third
+of the successors of GL(6,2) to depth 8 never reach the kernel.  Beyond
+the stored keys, a level's expansion holds one block's raw successors,
+the positions it keeps, their canonical keys and the dedup temporaries
+(a few MiB, whatever the size of the level) and, while a block is
+merged in, a second copy of the next level.
 
 Early termination keeps every recorded distance exact: a depth cap
 stops *between* levels (everything recorded is complete), while an
@@ -166,14 +168,6 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    if table.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    idx = np.searchsorted(table, values)
-    idx[idx == table.size] = table.size - 1
-    return table[idx] == values
-
-
 def _pool(threads: int):
     """A worker pool for canonicalization when ``threads > 1``; else a
     context that yields None (serial)."""
@@ -277,19 +271,23 @@ _BLOCK = 1 << 16
 _BUDGET_BLOCK = 1 << 20
 
 
-def _fresh(raw: np.ndarray, stored) -> np.ndarray:
-    """Ascending positions of the successors in ``raw`` to canonicalize:
-    one position per value, unless the value is stored in one of the
-    sorted arrays of ``stored``.  A stored key is canonical, so a
-    successor equal to one lies in a known orbit, and equal successors
-    lie in one orbit."""
-    order = np.argsort(raw)
-    raw = raw[order]
-    new = np.ones(raw.size, dtype=bool)
-    np.not_equal(raw[1:], raw[:-1], out=new[1:])
+def _fresh(values: np.ndarray, stored) -> np.ndarray:
+    """Positions in ``values`` of one occurrence of each value that none
+    of the sorted arrays of ``stored`` holds, in ascending order of
+    value.  Each table is searched only for the values that the tables
+    before it left."""
+    order = np.argsort(values)
+    values = values[order]
+    new = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    order, values = order[new], values[new]
     for table in stored:
-        new &= ~_in_sorted(raw, table)
-    return np.sort(order[new])
+        if table.size:
+            idx = np.searchsorted(table, values)
+            np.minimum(idx, table.size - 1, out=idx)
+            new = table[idx] != values
+            order, values = order[new], values[new]
+    return order
 
 
 def _drop_twin_images(raw: np.ndarray, keys: np.ndarray, n: int) -> int:
@@ -315,9 +313,10 @@ def _drop_twin_images(raw: np.ndarray, keys: np.ndarray, n: int) -> int:
 def _next_level(n, spec, prev, curr, executor, budget):
     """The level after ``curr``: sorted keys, their element count,
     whether the level is whole, and how many successors the expansion
-    generated, canonicalized and dropped by the twin rule.  Expansion
-    stops after the budget block of frontier keys that takes the number
-    of new keys past ``budget``."""
+    generated, canonicalized and dropped by the twin rule.  A block's
+    raw successors and their canonical keys each pass ``_fresh``.
+    Expansion stops after the budget block of frontier keys that takes
+    the number of new keys past ``budget``."""
     gens = max(1, n * (n - 1))
     rows = max(1, _BLOCK // gens)
     budget_rows = max(1, _BUDGET_BLOCK // gens)
@@ -335,16 +334,14 @@ def _next_level(n, spec, prev, curr, executor, budget):
             canonicalized += at.size
             canon, sizes = canonicalize_successors(keys, n, spec, executor, at)
             del at
-            canon, first = np.unique(canon, return_index=True)
-            sizes = sizes[first]
-            keep = ~_in_sorted(canon, prev)
-            keep &= ~_in_sorted(canon, curr)
-            keep &= ~_in_sorted(canon, nxt)
-            # kept keys are new to nxt, so no orbit is counted twice; orbit
+            new = _fresh(canon, (prev, curr, nxt))
+            # new keys are new to nxt, so no orbit is counted twice; orbit
             # sizes <= 2*8! and |GL(8,2)| < 2^63, so uint64 is exact
-            elements += int(sizes[keep].sum(dtype=np.uint64))
+            elements += int(sizes[new].sum(dtype=np.uint64))
+            canon = canon[new]
+            del sizes, new
             # two sorted runs, which a stable sort merges in linear time
-            nxt = np.concatenate([nxt, canon[keep]])
+            nxt = np.concatenate([nxt, canon])
             nxt.sort(kind="stable")
         if budget is not None and nxt.size > budget:
             return nxt, elements, False, successors, canonicalized, twins

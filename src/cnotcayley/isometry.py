@@ -856,19 +856,3 @@ def canonicalize_reference(m: BitMatrix, spec: IsometrySpec = IsometrySpec.SYM) 
     if order % fixing:
         raise ConsistencyError("stabilizer count does not divide the group order")
     return OrbitInfo(BitMatrix(n, best), order // fixing)
-
-
-def successor_orbits(key: BitMatrix, spec: IsometrySpec = IsometrySpec.SYM) -> tuple[OrbitInfo, ...]:
-    """Orbits of T*key over all generators T, deduplicated by key.
-
-    The input must itself be canonical; by the orbit-compatibility of
-    successor sets this makes the result independent of which orbit
-    member is expanded.
-    """
-    n = key.n
-    if canonicalize(key, spec).key.bits != key.bits:
-        raise ValueError("successor_orbits requires a canonical key")
-    canon, sizes = canonicalize_successors(np.array([key.bits], dtype=np.uint64), n, spec)
-    uniq, first = np.unique(canon, return_index=True)
-    return tuple(OrbitInfo(BitMatrix(n, int(k)), int(sizes[i]))
-                 for k, i in zip(uniq, first))

@@ -40,7 +40,6 @@ from cnotcayley.isometry import (
     canonicalize_batch,
     canonicalize_reference,
     canonicalize_successors,
-    successor_orbits,
     transpose_inverse_keys,
 )
 
@@ -869,19 +868,6 @@ def test_order8_builds_no_permutation_table(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_successors_of_identity():
-    infos = successor_orbits(identity(3), SYM)
-    assert len(infos) == 1
-    assert infos[0].orbit_size == 6
-
-
-def test_successor_count_bound():
-    rng = random.Random(11)
-    for _ in range(10):
-        key = canonicalize(random_invertible(4, rng), SYM).key
-        assert len(successor_orbits(key, SYM)) <= 4 * 3
-
-
 def test_successor_orbit_sets_agree_across_orbit():
     # same-orbit inputs yield the same successor key sets
     rng = random.Random(12)
@@ -894,11 +880,3 @@ def test_successor_orbit_sets_agree_across_orbit():
         keys2 = {canonicalize(apply_transvection(t, g2), SYM).key.bits
                  for t in all_transvections(4)}
         assert keys1 == keys2
-
-
-def test_successor_requires_canonical_input():
-    # T[3,1] packs above T[1,2], the minimum of the transvection orbit
-    m = transvection_matrix(Transvection(3, 1), 3)
-    assert canonicalize(m, SYM).key != m
-    with pytest.raises(ValueError):
-        successor_orbits(m, SYM)

@@ -1,6 +1,7 @@
-"""Property tests: text round trips, parsers on any text, and a database
-reader under single-byte corruption."""
+"""Property tests: text round trips, parsers on any text, a database
+reader under single-byte corruption, and the level search's dedup."""
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -8,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cnotcayley import essential, store  # noqa: E402
+from cnotcayley import bfs, essential, store  # noqa: E402
 from cnotcayley.errors import CnotCayleyError  # noqa: E402
 from cnotcayley.gf2 import (  # noqa: E402
     MAX_ORDER,
@@ -150,3 +151,38 @@ def test_every_header_bit_flip_is_caught_or_harmless(saved_gl3, tmp_path):
     for offset in range(26):
         for bit in range(8):
             assert_caught_or_harmless(saved_gl3, tmp_path, offset, blob[offset] ^ (1 << bit))
+
+
+# ---------------------------------------------------------------------------
+# the level search's dedup
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def values_and_tables(draw):
+    """uint64 values drawn from a few keys, so that most repeat, and up to
+    three sorted tables: empty, one key, covering every value, or a mix
+    of the keys and others."""
+    keys = st.integers(0, 2**64 - 1)
+    pool = draw(st.lists(keys, min_size=1, max_size=8, unique=True))
+    values = draw(st.lists(st.sampled_from(pool), max_size=40))
+    tables = draw(st.lists(st.one_of(
+        st.just([]),
+        keys.map(lambda k: [k]),
+        st.lists(keys, max_size=4).map(lambda extra: pool + extra),
+        st.lists(st.one_of(st.sampled_from(pool), keys), max_size=8),
+    ), max_size=3))
+    return (np.array(values, dtype=np.uint64),
+            [np.unique(np.array(t, dtype=np.uint64)) for t in tables])
+
+
+@PROPERTY
+@given(values_and_tables())
+def test_fresh_keeps_one_of_each_unstored_value(case):
+    values, tables = case
+    pos = bfs._fresh(values, tables)
+    assert np.unique(pos).size == pos.size
+    kept = values[pos]
+    assert np.all(kept[1:] > kept[:-1])
+    stored = {int(k) for t in tables for k in t}
+    assert {int(v) for v in kept} == {int(v) for v in values} - stored

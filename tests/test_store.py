@@ -49,6 +49,16 @@ FROZEN_SHA256_ORDER7 = {
 }
 
 
+# SHA-256 of saved GL(6,2) balls to depth 8 (spec, orbits), the
+# benchmark's ball, frozen from the level loop that deduplicated each
+# block's canonical keys with np.unique.  Level 8 spans dozens of
+# memory blocks, where the capped runs below stop partway into it.
+FROZEN_SHA256_ORDER6 = {
+    ("sym", 612_719): "04f93c4d3bdf4963154364c8449a653d627fcf3b535e37fc3994df21986caa6b",
+    ("sym-ti", 307_299): "cdac4cc40f892f2e641e46c2aaac5a6a9afc3a4eff98c5910c1d35380e7e4bcd",
+}
+
+
 # SHA-256 of saved GL(6,2) `sym` explorations capped by max_orbits,
 # frozen from the level loop that re-sorted the next level after every
 # block of 2^20 successors.  The orbit budget is checked only at those
@@ -83,6 +93,16 @@ def test_saved_order7_balls_frozen(explored, tmp_path, spec, orbits):
     store.save(res, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         FROZEN_SHA256_ORDER7[spec, orbits]
+
+
+@pytest.mark.parametrize("spec, orbits", sorted(FROZEN_SHA256_ORDER6))
+def test_saved_order6_balls_frozen(explored, tmp_path, spec, orbits):
+    res = explored(6, IsometrySpec(spec), 8)
+    assert res.keys.size == orbits
+    path = tmp_path / "g.db"
+    store.save(res, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        FROZEN_SHA256_ORDER6[spec, orbits]
 
 
 @pytest.mark.parametrize("max_orbits", sorted(FROZEN_SHA256_CAPPED))
