@@ -61,7 +61,6 @@ from .gf2 import (
     parse_perm,
     perm_matrix,
     random_invertible,
-    transpose,
     transpose_inverse,
 )
 from .isometry import IsometrySpec, OrbitInfo, act, canonicalize

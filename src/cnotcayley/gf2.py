@@ -273,10 +273,6 @@ def apply_transvection(t: Transvection, m: BitMatrix) -> BitMatrix:
     return BitMatrix(n, m.bits ^ (row_j << ((t.i - 1) * n)))
 
 
-def transpose(m: BitMatrix) -> BitMatrix:
-    return BitMatrix(m.n, transpose_bits(m.bits, m.n))
-
-
 def invert(m: BitMatrix) -> BitMatrix:
     return BitMatrix(m.n, invert_bits(m.bits, m.n))
 

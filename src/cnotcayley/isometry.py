@@ -253,11 +253,12 @@ def _tables(n: int) -> _PermTables:
 
 
 # larger orders run the lex-leader search: their packed images, up to
-# 2^64, no longer fit a double exactly.  On the successors of the depth-5
-# ball, per successor, the pruned product beats the search at n=6 (1.05
-# us against 2.3-2.4 under sym, 1.4-1.7 against 2.3-2.9 under sym-ti); at
-# n=7 the search is ahead (3.1-3.3 against 5.3-5.6, 4.6-4.8 against
-# 8.7-8.9), but one key costs it 380-500 us against the product's 23-141,
+# 2^64, no longer fit a double exactly.  Per successor, both on the
+# successors of 20,000 depth-8 keys of GL(6,2) and of all depth-6 keys
+# of GL(7,2), the pruned product beats the search at n=6 (0.44-0.48 us
+# against 1.2-1.4 under sym, 0.54-0.58 against 1.6-1.9 under sym-ti); at
+# n=7 the search is ahead (2.1-2.3 against 3.1-3.2, 2.2 against
+# 4.5-4.7), but one key costs it 320-470 us against the product's 13-18,
 # and one-key calls set the queries' latency
 _MATMUL_MAX_ORDER = 7
 # keys per search chunk.  Random keys keep a few live branches each,
@@ -830,8 +831,6 @@ def canonicalize_reference(m: BitMatrix, spec: IsometrySpec = IsometrySpec.SYM) 
     """Plain-Python enumeration of every group image; the correctness
     oracle for the vectorised path, kept free of numpy on purpose."""
     n = m.n
-    if n == 0:
-        return OrbitInfo(m, 1)
     variants = [m.bits]
     if spec.uses_ti:
         variants.append(gf2.transpose_inverse_bits(m.bits, n))

@@ -36,10 +36,6 @@ class CycleType:
         return cls(tuple(sorted((len(c) for c in sigma.cycles()), reverse=True)))
 
     @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
     def cycles(self) -> int:
         return len(self.parts)
 

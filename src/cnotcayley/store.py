@@ -157,30 +157,26 @@ def load(path) -> ExplorationResult:
     )
 
 
-# per path, the (file size, header and sphere-table bytes, layout) of
-# the last database ``lookup`` validated there.  Entries are replaced,
-# never changed, and each call compares the bytes it reads itself, so
-# concurrent lookups at worst validate a file twice
-_LAYOUTS: dict[str, tuple[int, bytes, _Layout]] = {}
-# paths whose layouts are kept; past this many the cache starts over
-_LAYOUTS_MAX = 64
+# the (file size, header and sphere-table bytes, layout) of the database
+# ``lookup`` validated last.  It is replaced, never changed, and each call
+# compares the bytes it reads itself, so concurrent lookups at worst
+# validate a file twice
+_last_layout: tuple[int, bytes, _Layout] | None = None
 
 
-def _cached_layout(path, fh) -> _Layout:
+def _cached_layout(fh) -> _Layout:
     """The layout of an open database, validated again unless its size
-    and its header and sphere-table bytes equal those last validated
-    at this path: one ``fstat`` and one positioned read of those bytes
-    instead of a parse."""
-    key = os.fspath(path)
+    and its header and sphere-table bytes equal those validated last:
+    one ``fstat`` and one positioned read of those bytes instead of a
+    parse."""
+    global _last_layout
     size = os.fstat(fh.fileno()).st_size
-    hit = _LAYOUTS.get(key)
+    hit = _last_layout
     if hit is not None and hit[0] == size and \
             os.pread(fh.fileno(), len(hit[1]), 0) == hit[1]:
         return hit[2]
     lay = _read_layout(fh)
-    if len(_LAYOUTS) >= _LAYOUTS_MAX:
-        _LAYOUTS.clear()
-    _LAYOUTS[key] = size, os.pread(fh.fileno(), lay.offset, 0), lay
+    _last_layout = size, os.pread(fh.fileno(), lay.offset, 0), lay
     return lay
 
 
@@ -191,13 +187,13 @@ def lookup(path, m: BitMatrix) -> int:
     per probe, so no full load happens.  The file length must equal
     header + sphere table + 9 bytes per entry, and the record found must
     hold a distance below the level count.  The header and sphere table
-    are validated once per path and then only compared, with the file
-    size, against the bytes that were validated.  The matrix is
+    are validated only when they, or the file size, differ from those of
+    the database validated last, whatever its path.  The matrix is
     canonicalized under the recorded isometry spec first.  For a result
     in memory use ``bfs.distance_of``.
     """
     with open(path, "rb") as fh:
-        lay = _cached_layout(path, fh)
+        lay = _cached_layout(fh)
         if m.n != lay.n:
             raise DatabaseError(f"matrix order {m.n} vs database order {lay.n}")
         key = canonicalize(m, lay.spec).key.bits

@@ -20,7 +20,7 @@ from cnotcayley.bfs import (
     synthesize,
 )
 from cnotcayley.bounds import gl_order
-from cnotcayley.errors import ConsistencyError, HorizonError, OrderError
+from cnotcayley.errors import ConsistencyError, DimensionError, HorizonError, OrderError
 from cnotcayley.essential import eval_poly, load_coeffs
 from cnotcayley.gf2 import identity, invert, parse_matrix, parse_perm, perm_matrix, random_invertible
 from cnotcayley.isometry import (
@@ -523,6 +523,19 @@ def test_limit_validation():
         SearchLimits(max_depth=0)
     with pytest.raises(ValueError):
         SearchLimits(threads=0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda explored: SearchLimits(max_orbits=0), ValueError,
+     "max_orbits must be positive"),
+    (lambda explored: distance_of(explored(3), identity(2)), DimensionError,
+     "matrix order 2 vs exploration order 3"),
+    (lambda explored: bidirectional_distance(3, identity(2)), DimensionError,
+     "target order 2 vs 3"),
+], ids=["max-orbits", "distance-order", "bidir-order"])
+def test_bad_arguments_raise(explored, call, error, message):
+    with pytest.raises(error, match=message):
+        call(explored)
 
 
 def test_max_orbits_budget_covering_the_group(explored):

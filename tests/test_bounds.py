@@ -218,5 +218,25 @@ def test_product_inequality_validation(explored):
         product_inequality_check(explored(4), 4, (2, 3))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda explored: gl_order(-1), OrderError, "order must be non-negative"),
+    (lambda explored: SphereProfile(2, (1, 2), ("exact",)), ValueError,
+     "provenance must align with sizes"),
+    (lambda explored: SphereProfile(2, (1, 0), ("exact", "exact")), ValueError,
+     "sphere sizes must be positive"),
+    (lambda explored: quadratic_bound_exceeds(1, 0), OrderError,
+     "the quadratic bound needs n >= 2"),
+    (lambda explored: quadratic_bound(1), OrderError, "the quadratic bound needs n >= 2"),
+    # the crossing is at 30
+    (lambda explored: quadratic_crossing(29), RuntimeError, "no crossing found up to 29"),
+    (lambda explored: product_inequality_check(explored(4, max_depth=3), 4, (2, 2)),
+     HorizonError, "exploration not exact through depth 4"),
+], ids=["gl-order-negative", "provenance", "sizes-positive", "exceeds-order",
+        "bound-order", "no-crossing", "product-horizon"])
+def test_bad_arguments_raise(explored, call, error, message):
+    with pytest.raises(error, match=message):
+        call(explored)
+
+
 def test_bounds_csv():
     assert bounds_csv([(20, 10, 58)]) == "n,k,ell\n20,10,58\n"

@@ -223,6 +223,19 @@ def test_db_info(capsys, g3_db):
     assert "n=3" in err and "orbits=33" in err
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    (("perm-check",), 1, "", "usage error: perm-check needs --db or --n"),
+    # for k = 1 no order up to 4 has ell_n(1) > 3(n-1): exit 2
+    (("n0-search", "--k", "1", "--n-max", "4"), 2, "n0\nnone\n", ""),
+    (("bidir", "--n", "3", "--matrix", "11,01", "--fwd", "1", "--bwd", "1"), 1, "",
+     "usage error: matrix order 2 does not match --n 3"),
+], ids=["perm-check-no-source", "n0-search-none", "bidir-matrix-order"])
+def test_refusals_and_empty_answers(capsys, argv, code, out, err):
+    got = invoke(capsys, *argv)
+    assert got[:2] == (code, out)
+    assert err in got[2] and "Traceback" not in got[2]
+
+
 def test_usage_errors(capsys):
     assert invoke(capsys, "explore")[0] == 1              # missing --n
     assert invoke(capsys, "no-such-command")[0] == 1

@@ -139,6 +139,23 @@ def test_extract_requires_matching_order(explored):
         extract_coeffs(classify(explored(4)), 1)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda explored: extract_coeffs(classify(explored(2)), 0), ValueError,
+     "coefficient extraction needs d >= 1"),
+    (lambda explored: extract_coeffs(classify(explored(4, max_depth=1)), 2), OrderError,
+     "classification stops at depth 1 < 2"),
+    (lambda explored: eval_poly(PolyCoeffs(d=1, a=(0, 0, 2)), -1), ValueError,
+     "polynomial argument must be non-negative"),
+    (lambda explored: orbit_growth_check(gf2.identity(3), 2), OrderError,
+     "cannot embed order 3 into 2"),
+    (lambda explored: parse_coeffs_record("3", "test"), FormatError,
+     "coefficient record too short"),
+], ids=["extract-d0", "extract-shallow", "eval-negative", "growth-smaller", "short-record"])
+def test_bad_arguments_raise(explored, call, error, message):
+    with pytest.raises(error, match=message):
+        call(explored)
+
+
 def test_extract_rejects_inexact_division():
     # C(4,3) = 4 does not divide 3
     bad = EssentialClassTable(n=4, spec=IsometrySpec.SYM, d_max=2,

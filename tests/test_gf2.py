@@ -101,6 +101,24 @@ def test_raw_constructor_range_checks():
     assert BitMatrix(0, 0).n == 0
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: apply_transvection(T(1, 3), identity(2)), DimensionError,
+     r"transvection \(1,3\) does not fit order 2"),
+    (lambda: conjugate_by_perm(Permutation.identity(3), identity(2)), DimensionError,
+     "permutation degree 3 vs order 2"),
+    (lambda: embed(identity(3), 2), OrderError, "cannot embed order 3 into order 2"),
+    (lambda: parse_matrix(",".join(["1"] * 9)), FormatError,
+     r"matrix must have 1..8 rows, got 9"),
+    (lambda: parse_circuit("CNOT 0 x", 2), FormatError, "bad gate arguments"),
+    (lambda: parse_perm("(1 x)", 3), FormatError, "bad cycle"),
+    (lambda: parse_perm("(1 2)()", 3), FormatError, "empty cycle"),
+], ids=["apply-order", "conjugate-order", "embed-smaller", "matrix-rows",
+        "gate-arguments", "cycle-entry", "empty-cycle"])
+def test_bad_arguments_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_transvection_validation():
     with pytest.raises(FormatError):
         Transvection(2, 2)

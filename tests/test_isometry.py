@@ -276,6 +276,12 @@ def test_order_zero_canonicalize():
     assert info.key.n == 0 and info.orbit_size == 1
 
 
+@pytest.mark.parametrize("spec", list(IsometrySpec), ids=lambda spec: spec.value)
+def test_order_zero_reference(spec):
+    m = BitMatrix(0, 0)
+    assert canonicalize_reference(m, spec) == canonicalize(m, spec)
+
+
 def test_order_two_groups_coincide():
     # at n=2 the transpose-inverse map equals conjugation by the swap,
     # so adding it changes neither keys nor orbit sizes

@@ -169,6 +169,12 @@ def test_reps_cover_all_types():
         assert len({CycleType.of(s) for s in reps}) == len(reps)
 
 
+@pytest.mark.parametrize("n", [0, 9])
+def test_reps_order_range(n):
+    with pytest.raises(ValueError, match=r"order must be in 1..8"):
+        cycle_type_reps(n)
+
+
 # ---------------------------------------------------------------------------
 # the distance conjecture
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Database format: round trips, byte reproducibility, seek-based lookup."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -68,6 +69,13 @@ FROZEN_SHA256_CAPPED = {
     40_000: "5c5b79900f0f94e760792a2d06dec7e218597be784faafb78c9aa9141f9f3269",
     200_000: "af9599ca7eb95a2cb38b51ae3f02011a6870a136ab0744f1abee263626d74467",
 }
+
+
+@pytest.fixture(autouse=True)
+def no_remembered_layout(monkeypatch):
+    # lookup remembers the last layout it validated, whatever the file;
+    # each test starts without one, so it sees its own parses
+    monkeypatch.setattr(store, "_last_layout", None)
 
 
 @pytest.mark.parametrize("n, spec", sorted(FROZEN_SHA256))
@@ -403,6 +411,39 @@ def test_lookup_revalidates_a_rewritten_file(explored, tmp_path, monkeypatch):
     with pytest.raises(DatabaseError, match="entry block"):
         store.lookup(path, identity(3))
     assert len(parsed) == 3
+
+
+def test_lookup_alternates_between_databases(explored, tmp_path, monkeypatch):
+    # one layout is remembered: a lookup in the other database parses
+    # its header again, one through another path to the same file does not
+    g3, g4 = explored(3), explored(4, IsometrySpec.SYM_TI)
+    p3, p4 = tmp_path / "g3.db", tmp_path / "g4.db"
+    store.save(g3, p3)
+    store.save(g4, p4)
+    (tmp_path / "sub").mkdir()
+    p3_again = str(tmp_path / "sub" / ".." / "g3.db")
+    parsed = []
+    real = store._read_layout
+    monkeypatch.setattr(store, "_read_layout", lambda fh: parsed.append(1) or real(fh))
+    rng = random.Random(3)
+    for _ in range(10):
+        m3, m4 = random_invertible(3, rng), random_invertible(4, rng)
+        assert store.lookup(p3, m3) == distance_of(g3, m3)
+        assert store.lookup(p4, m4) == distance_of(g4, m4)
+    assert len(parsed) == 20
+    for _ in range(10):
+        m3 = random_invertible(3, rng)
+        assert store.lookup(p3, m3) == distance_of(g3, m3)
+        assert store.lookup(p3_again, m3) == distance_of(g3, m3)
+    assert len(parsed) == 21
+
+
+def test_save_refuses_keys_that_miss_the_orbit_counts(explored, tmp_path):
+    res = explored(3)
+    short = dataclasses.replace(res, keys=res.keys[:-1], dists=res.dists[:-1])
+    with pytest.raises(ValueError, match="result keys do not match its orbit counts"):
+        store.save(short, tmp_path / "short.db")
+    assert not (tmp_path / "short.db").exists()
 
 
 def test_lookup_order_mismatch(explored, tmp_path):
